@@ -15,6 +15,7 @@ pretrained-parameter gradients), and the plain zero-shot pass.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,10 @@ class AdapterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("capacity_per_class", "retrieve_k", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.capacity_per_class < 1:
             raise ValueError("capacity_per_class must be positive")
         if self.retrieve_k < 1:

@@ -129,6 +129,8 @@ def _load_dataset(dataset_dir: str, renormalize: bool):
     samples, meta = datagen.load_jsonl(
         dataset_path, expected_dim=bank.dim, renormalize=renormalize
     )
+    if not samples:
+        raise ValidationError(f"dataset has no samples: {dataset_path}")
     return samples, bank, meta
 
 

@@ -7,12 +7,21 @@ queries can assemble an update from cached pieces without re-running the
 model.  Retrieval takes the most similar entries per class queue, which makes
 the returned support set class-balanced by construction whenever the queues
 are warm.
+
+Each queue is a window over arrays of 2 * capacity rows (z, d_weight, d_bias,
+entropy, seq, entry) allocated on its first insert.  Live rows are [start,
+start + size), oldest first; an insert writes the next row, dropping the
+oldest when full, and when the window hits the end of the buffer its rows
+move back to row 0, so each row is copied O(1) times on average.  Rows stay
+in arrival order, never rotated as in a ring buffer: BLAS gemv can round a
+row's dot product differently by its place in the block, which would give
+duplicate embeddings unequal similarities and break the ties-to-newer order
+of a scan over the queue oldest first.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,12 +92,52 @@ class SupportSet:
                           weights=raw / raw.sum(), _stacks=self._stacks)
 
 
+@dataclass(slots=True)
+class _Window:
+    """One queue: live rows [start, start + size) of 2 * capacity preallocated rows."""
+
+    capacity: int
+    start: int = 0
+    size: int = 0
+    cols: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def append(self, entry: MemoryEntry) -> None:
+        cols = self.cols
+        row_values = (entry.z, entry.grad.d_weight, entry.grad.d_bias, entry.entropy, entry.seq,
+                      entry)
+        d = cols["z"].shape[1] if cols else entry.z.shape[0]
+        if entry.z.shape != (d,) or entry.grad.d_weight.shape != (d,):
+            raise ValueError(f"memory rows have dim {d}, entry has {entry.z.shape[0]}")
+        if not cols:  # columns in the order of row_values
+            n = 2 * self.capacity
+            cols.update(z=np.empty((n, d)), d_weight=np.empty((n, d)), d_bias=np.empty((n, d)),
+                        entropy=np.empty(n), seq=np.empty(n, dtype=np.int64),
+                        entry=np.empty(n, dtype=object))
+        if self.size == self.capacity:
+            cols["entry"][self.start] = None
+            self.start, self.size = self.start + 1, self.size - 1
+        row = self.start + self.size
+        if row == len(cols["seq"]):
+            for col in cols.values():
+                col[: self.size] = col[self.start : row]
+            cols["entry"][self.size :] = None
+            self.start, row = 0, self.size
+        for col, value in zip(cols.values(), row_values):
+            col[row] = value
+        self.size += 1
+
+    def live(self, name: str) -> np.ndarray:
+        """The live rows of one column, oldest first (a view, not a copy)."""
+        return self.cols[name][self.start : self.start + self.size]
+
+
 class ClassMemory:
     """FIFO memory over pseudo-classes with oldest-first eviction.
 
     split mode: one queue per class, each holding at most `capacity_per_class`
     entries.  unsplit mode: a single queue of capacity C * K (the
-    no-prediction-balance ablation).
+    no-prediction-balance ablation).  Each queue is a `_Window`; `queues`
+    lists each queue's entries oldest first.
     """
 
     def __init__(self, num_classes: int, capacity_per_class: int, split: bool = True):
@@ -99,15 +148,17 @@ class ClassMemory:
         self.num_classes = num_classes
         self.capacity_per_class = capacity_per_class
         self.split = split
-        if split:
-            self.queues = [deque(maxlen=capacity_per_class) for _ in range(num_classes)]
-        else:
-            self.queues = [deque(maxlen=num_classes * capacity_per_class)]
+        self._windows = ([_Window(capacity_per_class) for _ in range(num_classes)] if split
+                         else [_Window(num_classes * capacity_per_class)])
         self._next_seq = 0
-        self._stacked: list[dict | None] = [None] * len(self.queues)
+
+    @property
+    def queues(self) -> list[list[MemoryEntry]]:
+        """Each queue's entries, oldest first, as new lists (editing them changes nothing)."""
+        return [w.live("entry").tolist() if w.size else [] for w in self._windows]
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return sum(w.size for w in self._windows)
 
     def insert(self, entry: MemoryEntry, pseudo_label: int) -> None:
         """Append an entry to its pseudo-class queue, evicting the oldest if full.
@@ -122,42 +173,20 @@ class ClassMemory:
         entry.seq = self._next_seq
         self._next_seq += 1
         entry.pseudo_class = pseudo_label
-        qi = pseudo_label if self.split else 0
-        self.queues[qi].append(entry)
-        self._stacked[qi] = None
+        self._windows[pseudo_label if self.split else 0].append(entry)
 
-    def _queue_snapshot(self, qi: int) -> dict:
-        """Entry list and stacked per-entry arrays, cached until the next insert."""
-        cached = self._stacked[qi]
-        if cached is None:
-            entries = list(self.queues[qi])
-            cached = {
-                "entries": entries,
-                "z": np.stack([e.z for e in entries]),
-                "seq": np.array([e.seq for e in entries], dtype=np.int64),
-                "entropy": np.array([e.entropy for e in entries]),
-                "d_weight": np.stack([e.grad.d_weight for e in entries]),
-                "d_bias": np.stack([e.grad.d_bias for e in entries]),
-            }
-            self._stacked[qi] = cached
-        return cached
-
-    def _gather(self, picks: list[tuple[dict, np.ndarray]]) -> SupportSet:
-        """Assemble a SupportSet (with stacked views) from per-queue selections."""
-        entries: list[MemoryEntry] = []
-        for snap, idx in picks:
-            snap_entries = snap["entries"]
-            entries.extend(snap_entries[int(i)] for i in idx)
-        if not entries:
+    def _select(self, k: int, pick) -> SupportSet:
+        """Gather `pick(window, budget)` rows of each non-empty queue into a SupportSet."""
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        budget = k if self.split else self.num_classes * k
+        picks = [(w, pick(w, budget)) for w in self._windows if w.size]
+        if not picks:
             return SupportSet(entries=[])
-        stacks = {
-            key: np.concatenate([snap[key][idx] for snap, idx in picks])
-            for key in ("z", "entropy", "d_weight", "d_bias")
-        }
+        entries = [e for w, idx in picks for e in w.live("entry")[idx].tolist()]
+        stacks = {key: np.concatenate([w.live(key)[idx] for w, idx in picks])
+                  for key in ("z", "entropy", "d_weight", "d_bias")}
         return SupportSet(entries=entries, _stacks=stacks)
-
-    def _per_queue_budget(self, k: int) -> int:
-        return k if self.split else self.num_classes * k
 
     def retrieve(self, query_z: np.ndarray, k: int) -> SupportSet:
         """Top-k most similar entries from each non-empty queue (weights unset).
@@ -166,38 +195,18 @@ class ClassMemory:
         recent entry.  In unsplit mode the single queue contributes the top
         C * k.  An empty memory yields an empty support set.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
         query = np.asarray(query_z, dtype=np.float64)
-        budget = self._per_queue_budget(k)
-        picks = []
-        for qi, q in enumerate(self.queues):
-            if not q:
-                continue
-            snap = self._queue_snapshot(qi)
-            sims = snap["z"] @ query
-            # lexsort: primary key last -> sims descending, then seq descending
-            order = np.lexsort((-snap["seq"], -sims))
-            picks.append((snap, order[: min(budget, len(order))]))
-        return self._gather(picks)
+        # lexsort: primary key last -> sims descending, then seq descending
+        return self._select(k, lambda w, budget: np.lexsort(
+            (-w.live("seq"), -(w.live("z") @ query)))[:budget])
 
     def sample_uniform(self, k: int, rng: np.random.Generator) -> SupportSet:
         """Uniform draw without replacement, same per-queue budget as `retrieve`.
 
         Used by the no-domain-consistency ablation in place of top-k.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        budget = self._per_queue_budget(k)
-        picks = []
-        for qi, q in enumerate(self.queues):
-            if not q:
-                continue
-            snap = self._queue_snapshot(qi)
-            take = min(budget, len(snap["entries"]))
-            idx = rng.choice(len(snap["entries"]), size=take, replace=False)
-            picks.append((snap, idx))
-        return self._gather(picks)
+        return self._select(k, lambda w, budget: rng.choice(
+            w.size, size=min(budget, w.size), replace=False))
 
     def export_snapshot(self, path: str | Path, include_arrays: bool = False) -> None:
         """Dump entries as JSONL: {seq, pseudo_class, entropy, domain_id}.

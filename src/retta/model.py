@@ -165,8 +165,8 @@ def forward(feature: np.ndarray, params: AffineParams) -> np.ndarray:
     return v * params.weight + params.bias
 
 
-def _posterior(z: np.ndarray, bank: TextBank):
-    """Logits, stabilized log-probs, probs, and entropy for an embedding."""
+def _posterior(z: np.ndarray, bank: TextBank) -> tuple[Prediction, np.ndarray]:
+    """Prediction (logits, probs, entropy) and stabilized log-probs for an embedding."""
     if z.shape[0] != bank.dim:
         raise ValueError(f"embedding dim {z.shape[0]} does not match bank dim {bank.dim}")
     logits = math.exp(bank.log_temp) * (bank.embeddings @ z)
@@ -178,18 +178,25 @@ def _posterior(z: np.ndarray, bank: TextBank):
     # p * log p -> 0 as p -> 0; guard the 0 * -inf corner explicitly.
     plogp = np.where(probs > 0.0, probs * log_probs, 0.0)
     entropy = float(-np.sum(plogp))
-    return logits, log_probs, probs, entropy
+    # argmax ties resolve to the lowest index
+    pred = Prediction(logits, probs, pseudo_label=int(np.argmax(probs)), entropy=entropy)
+    return pred, log_probs
 
 
 def predict(z: np.ndarray, bank: TextBank) -> Prediction:
     """Temperature-scaled cosine-logit softmax prediction for one embedding."""
-    logits, _, probs, entropy = _posterior(np.asarray(z, dtype=np.float64), bank)
-    return Prediction(
-        logits=logits,
-        probs=probs,
-        pseudo_label=int(np.argmax(probs)),  # ties resolve to the lowest index
-        entropy=entropy,
-    )
+    return _posterior(np.asarray(z, dtype=np.float64), bank)[0]
+
+
+def _predict_and_grad(feature: np.ndarray, params: AffineParams, bank: TextBank):
+    """(Prediction, GradRecord) from a single posterior evaluation; see `sample_grad`."""
+    v = np.asarray(feature, dtype=np.float64)
+    pred, log_probs = _posterior(forward(v, params), bank)
+    dH_dl = np.where(pred.probs > 0.0, -pred.probs * (log_probs + pred.entropy), 0.0)
+    dH_dz = math.exp(bank.log_temp) * (bank.embeddings.T @ dH_dl)
+    if not np.all(np.isfinite(dH_dz)):
+        raise ValueError("non-finite intermediate in entropy gradient")
+    return pred, GradRecord(d_weight=dH_dz * v, d_bias=dH_dz)
 
 
 def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> GradRecord:
@@ -199,14 +206,7 @@ def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> Gr
     dH/dz = exp(log_temp) * T^T dH/dl, dH/dweight = dH/dz * v and
     dH/dbias = dH/dz.
     """
-    v = np.asarray(feature, dtype=np.float64)
-    z = forward(v, params)
-    _, log_probs, probs, entropy = _posterior(z, bank)
-    dH_dl = np.where(probs > 0.0, -probs * (log_probs + entropy), 0.0)
-    dH_dz = math.exp(bank.log_temp) * (bank.embeddings.T @ dH_dl)
-    if not np.all(np.isfinite(dH_dz)):
-        raise ValueError("non-finite intermediate in entropy gradient")
-    return GradRecord(d_weight=dH_dz * v, d_bias=dH_dz)
+    return _predict_and_grad(feature, params, bank)[1]
 
 
 def batch_grads(
@@ -222,11 +222,9 @@ def batch_grads(
     out = []
     for i, sample in enumerate(batch):
         try:
-            pred = predict(forward(sample.feature, params), bank)
-            grad = sample_grad(sample.feature, params, bank)
+            out.append(_predict_and_grad(sample.feature, params, bank))
         except ValueError as exc:
             raise ValueError(f"batch element {i}: {exc}") from exc
-        out.append((pred, grad))
     return out
 
 

@@ -148,6 +148,35 @@ def test_run_rejects_missing_dataset(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+def _single_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("capacity_per_class", 1.5),
+    ("retrieve_k", 2.5),
+    ("batch_size", 25.0),
+    ("seed", True),
+])
+def test_run_rejects_non_integer_config_values(tmp_path, dataset_dir, capsys, field, value):
+    acfg = write_adapter_config(tmp_path / "adapter.json", **{field: value})
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert field in _single_error_line(capsys.readouterr().err)
+
+
+def test_run_rejects_empty_dataset(tmp_path, dataset_dir, capsys):
+    (dataset_dir / "dataset.jsonl").write_text("")
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "no samples" in _single_error_line(capsys.readouterr().err)
+
+
 def test_analyze_recomputes_composition_and_bins(tmp_path, dataset_dir):
     acfg = write_adapter_config(tmp_path / "adapter.json")
     run_dir = tmp_path / "run"

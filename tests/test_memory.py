@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retta.memory import ClassMemory, MemoryEntry, SupportSet, weigh
 from retta.model import GradRecord
@@ -92,6 +95,19 @@ def test_insert_rejects_out_of_range_class():
     mem = ClassMemory(num_classes=2, capacity_per_class=4)
     with pytest.raises(ValueError, match="out of range"):
         mem.insert(entry(rng), pseudo_label=2)
+
+
+def test_insert_rejects_dim_mismatch_and_leaves_memory_intact():
+    rng = np.random.default_rng(5)
+    mem = ClassMemory(num_classes=1, capacity_per_class=2)
+    held = [entry(rng), entry(rng)]
+    for e in held:
+        mem.insert(e, pseudo_label=0)
+    wrong = MemoryEntry(z=unit(rng, 4), grad=GradRecord(np.zeros(3), np.zeros(3)), entropy=0.1)
+    for bad in (entry(rng, d=3), wrong):
+        with pytest.raises(ValueError, match="dim"):
+            mem.insert(bad, pseudo_label=0)
+    assert [id(e) for e in mem.queues[0]] == [id(e) for e in held]
 
 
 def test_entry_rejects_off_unit_embedding():
@@ -221,6 +237,61 @@ def test_sample_uniform_draws_without_replacement():
     for e in support.entries:
         per_class[e.pseudo_class] += 1
     assert per_class == {0: 10, 1: 10}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_window_matches_deque_replay_oracle(data):
+    """Queues, top-k and uniform draws match a deque(maxlen) replay after every insert.
+
+    Runs go past 3x capacity so every queue's window is compacted several
+    times; embeddings come from a small pool so exact similarity ties occur.
+    """
+    K = data.draw(st.integers(1, 8), label="capacity")
+    C = data.draw(st.integers(1, 4), label="classes")
+    split = data.draw(st.booleans(), label="split")
+    d = data.draw(st.integers(1, 5), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pool = [unit(rng, d) for _ in range(data.draw(st.integers(1, 4), label="pool"))]
+    n = 3 * K * (C if split else 1) + data.draw(st.integers(1, 12), label="extra")
+    steps = data.draw(st.lists(
+        st.tuples(st.integers(0, C - 1), st.integers(0, len(pool) - 1),
+                  st.integers(0, len(pool) - 1), st.integers(1, 2 * K)),
+        min_size=n, max_size=n), label="steps")
+
+    mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
+    oracle = [deque(maxlen=K if split else C * K) for _ in range(C if split else 1)]
+    for i, (label, zi, qi, k) in enumerate(steps):
+        e = MemoryEntry(z=pool[zi], grad=GradRecord(rng.standard_normal(d), rng.standard_normal(d)),
+                        entropy=float(rng.uniform(0.0, 1.2)))
+        mem.insert(e, pseudo_label=label)
+        oracle[label if split else 0].append(e)
+        assert [[id(x) for x in q] for q in mem.queues] == [[id(x) for x in q] for q in oracle]
+        assert len(mem) == sum(len(q) for q in oracle)
+
+        budget = k if split else C * k
+        query = pool[qi]
+        support = mem.retrieve(query, k)
+        expected = []
+        for q in oracle:
+            if q:
+                sims = np.stack([x.z for x in q]) @ query
+                ranked = sorted(zip(sims, q), key=lambda t: (-t[0], -t[1].seq))
+                expected.extend(x for _, x in ranked[:budget])
+        assert [id(x) for x in support.entries] == [id(x) for x in expected]
+        stacks = support.stacks()
+        for key, value in (("z", lambda x: x.z), ("d_weight", lambda x: x.grad.d_weight),
+                           ("d_bias", lambda x: x.grad.d_bias), ("entropy", lambda x: x.entropy)):
+            np.testing.assert_array_equal(stacks[key], np.array([value(x) for x in expected]))
+
+        drawn = mem.sample_uniform(k, np.random.default_rng(i)).entries
+        clone = np.random.default_rng(i)
+        expected = []
+        for q in oracle:
+            if q:
+                idx = clone.choice(len(q), size=min(budget, len(q)), replace=False)
+                expected.extend(q[int(j)] for j in idx)
+        assert [id(x) for x in drawn] == [id(x) for x in expected]
 
 
 # ---------------------------------------------------------------- weigh
