@@ -7,6 +7,14 @@ the adapted parameters, and discards them.  Adaptation is therefore episodic:
 the persistent model is never mutated, which is exactly what keeps gradients
 cached at the pretrained parameters valid forever.
 
+`process_batch` runs these steps for a whole batch as array operations: one
+posterior pass for the gradients and zero-shot predictions, the inserts, one
+`ClassMemory.select` for every query's support, then the weighting,
+aggregation, step and adapted predict with a leading batch axis.  The
+per-sample engine (`adapt_and_predict` with `weigh`, `aggregate` and
+`aggregate_recomputed`) is the oracle it is checked and timed against; the
+recomputing mode of `process_batch` runs it.
+
 Two reference engines live here as well: an online entropy-minimization
 baseline that keeps mutating one parameter set across batches (and must
 recompute gradients at the current parameters, since the cache only holds
@@ -15,6 +23,7 @@ pretrained-parameter gradients), and the plain zero-shot pass.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -29,8 +38,10 @@ from .model import (
     TextBank,
     batch_grads,
     forward,
+    posterior,
     predict,
     sample_grad,
+    stack_features,
 )
 
 
@@ -59,6 +70,15 @@ class AdapterConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("split_memory", "topk_selection", "entropy_weighting", "similarity_weighting"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        for name in ("beta", "lr"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.capacity_per_class < 1:
             raise ValueError("capacity_per_class must be positive")
         if self.retrieve_k < 1:
@@ -118,24 +138,26 @@ def aggregate_recomputed(
     return GradRecord(d_weight=support.weights @ gw, d_bias=support.weights @ gb)
 
 
+def _step(optimizer: str, params: AffineParams, d_weight: np.ndarray, d_bias: np.ndarray,
+          eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, bias) after one step; gradient rows give one parameter row each."""
+    if optimizer == "signsgd":
+        d_weight, d_bias = np.sign(d_weight), np.sign(d_bias)
+    return params.weight - eta * d_weight, params.bias - eta * d_bias
+
+
 def signsgd_step(params: AffineParams, grad: GradRecord, eta: float) -> AffineParams:
     """weight <- weight - eta * sign(grad); sign(0) = 0, so zeros never move."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return AffineParams(
-        weight=params.weight - eta * np.sign(grad.d_weight),
-        bias=params.bias - eta * np.sign(grad.d_bias),
-    )
+    return AffineParams(*_step("signsgd", params, grad.d_weight, grad.d_bias, eta))
 
 
 def gd_step(params: AffineParams, grad: GradRecord, eta: float) -> AffineParams:
     """Plain gradient-descent step on both affine parameter vectors."""
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    return AffineParams(
-        weight=params.weight - eta * grad.d_weight,
-        bias=params.bias - eta * grad.d_bias,
-    )
+    return AffineParams(*_step("gd", params, grad.d_weight, grad.d_bias, eta))
 
 
 def _optimizer_step(cfg: AdapterConfig):
@@ -197,6 +219,30 @@ def adapt_and_predict(
     )
 
 
+def _adapt_block(V: np.ndarray, Z: np.ndarray, support: dict[str, np.ndarray],
+                 cfg: AdapterConfig, params0: AffineParams, bank: TextBank) -> list[Prediction]:
+    """`adapt_and_predict` for a whole batch at once, given each row's `select` support.
+
+    Same arithmetic as `weigh`, `aggregate` and the optimizer step, with one
+    more leading axis for the batch.
+    """
+    log_raw = np.zeros(support["entropy"].shape)
+    if cfg.entropy_weighting:
+        log_raw -= support["entropy"]
+    if cfg.similarity_weighting:
+        diff = support["z"] - Z[:, None, :]
+        log_raw -= cfg.beta * np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
+    if not np.all(np.isfinite(log_raw)):
+        raise ValueError("non-finite aggregation weights (degenerate entropies or distances)")
+    if np.any(np.exp(log_raw).sum(axis=1) == 0.0):
+        raise ValueError("all raw aggregation weights underflowed to zero")
+    shifted = np.exp(log_raw - log_raw.max(axis=1, keepdims=True))
+    weights = (shifted / shifted.sum(axis=1, keepdims=True))[:, None, :]
+    weight, bias = _step(cfg.optimizer, params0, np.matmul(weights, support["d_weight"])[:, 0],
+                         np.matmul(weights, support["d_bias"])[:, 0], cfg.lr)
+    return posterior(V * weight + bias, bank).predictions()
+
+
 def process_batch(
     batch: list[Sample],
     mem: ClassMemory,
@@ -205,10 +251,12 @@ def process_batch(
     rng: np.random.Generator | None = None,
     recompute_grads: bool = False,
 ) -> list[AdaptOutcome]:
-    """Process one batch: gradients first, then inserts, then per-sample adaptation.
+    """Process one batch: gradients first, then inserts, then adaptation.
 
     All entries join memory before any sample adapts, so samples within a
-    batch can retrieve one another.
+    batch can retrieve one another.  The cached engine adapts the whole batch
+    as array operations; `recompute_grads` runs the per-sample reference
+    engine (`adapt_and_predict`), which recomputes every support gradient.
     """
     if len(batch) > cfg.batch_size:
         raise ValueError(f"batch of {len(batch)} exceeds configured batch_size {cfg.batch_size}")
@@ -216,17 +264,20 @@ def process_batch(
         rng = np.random.default_rng(cfg.seed)
     params0 = AffineParams.pretrained(bank.dim)
     evals = batch_grads(batch, params0, bank)
-    for sample, (pred, grad) in zip(batch, evals):
-        entry = MemoryEntry(
-            z=forward(sample.feature, params0),
-            grad=grad,
-            entropy=pred.entropy,
-            domain_id=sample.domain_id,
-        )
+    V = stack_features(batch, bank.dim)
+    Z = forward(V, params0)
+    for sample, z, (pred, grad) in zip(batch, Z, evals):
+        entry = MemoryEntry(z=z, grad=grad, entropy=pred.entropy, domain_id=sample.domain_id)
         mem.insert(entry, pred.pseudo_label)
+    if recompute_grads:
+        return [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch]
+    support = mem.select(Z, cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
+    adapted = _adapt_block(V, Z, support, cfg, params0, bank)
+    size = support["entropy"].shape[1]
     return [
-        adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=recompute_grads)
-        for s in batch
+        AdaptOutcome(prediction=pred, zero_shot=zero_shot, support_size=size,
+                     support_domain_ids=tuple(d for d in domains if d is not None))
+        for pred, (zero_shot, _), domains in zip(adapted, evals, support["domain"].tolist())
     ]
 
 
@@ -266,28 +317,24 @@ def run_entropy_baseline(
     params = params0
     out: list[AdaptOutcome] = []
     for start in range(0, len(stream), cfg.batch_size):
-        batch = stream[start : start + cfg.batch_size]
-        evals = batch_grads(batch, params, bank)
-        mean_gw = np.mean(np.stack([g.d_weight for _, g in evals]), axis=0)
-        mean_gb = np.mean(np.stack([g.d_bias for _, g in evals]), axis=0)
-        params = signsgd_step(params, GradRecord(mean_gw, mean_gb), cfg.lr)
-        for sample in batch:
-            pred = predict(forward(sample.feature, params), bank)
-            zs = predict(forward(sample.feature, params0), bank)
-            out.append(
-                AdaptOutcome(prediction=pred, zero_shot=zs, support_size=0)
-            )
+        V = stack_features(stream[start : start + cfg.batch_size], bank.dim)
+        post = posterior(forward(V, params), bank, V)
+        mean_grad = GradRecord(post.d_weight.mean(axis=0), post.d_bias.mean(axis=0))
+        params = signsgd_step(params, mean_grad, cfg.lr)
+        adapted = posterior(forward(V, params), bank).predictions()
+        zero_shot = posterior(forward(V, params0), bank).predictions()
+        out.extend(AdaptOutcome(prediction=pred, zero_shot=zs, support_size=0)
+                   for pred, zs in zip(adapted, zero_shot))
     return out
 
 
 def run_zero_shot(stream: list[Sample], bank: TextBank) -> list[AdaptOutcome]:
     """Predict every sample at the pretrained parameters; no state anywhere."""
-    params0 = AffineParams.pretrained(bank.dim)
-    out = []
-    for sample in stream:
-        pred = predict(forward(sample.feature, params0), bank)
-        out.append(AdaptOutcome(prediction=pred, zero_shot=pred, support_size=0))
-    return out
+    if not stream:
+        return []
+    V = forward(stack_features(stream, bank.dim), AffineParams.pretrained(bank.dim))
+    return [AdaptOutcome(prediction=pred, zero_shot=pred, support_size=0)
+            for pred in posterior(V, bank).predictions()]
 
 
 def reference_adapter_config(seed: int = 0) -> AdapterConfig:

@@ -126,9 +126,11 @@ def _load_dataset(dataset_dir: str, renormalize: bool):
     if not bank_path.exists():
         raise ValidationError(f"text bank not found: {bank_path}")
     bank = model.load_text_bank(bank_path, renormalize=renormalize)
-    samples, meta = datagen.load_jsonl(
-        dataset_path, expected_dim=bank.dim, renormalize=renormalize
-    )
+    try:
+        samples, meta = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
+                                           renormalize=renormalize, num_classes=bank.num_classes)
+    except ValueError as exc:
+        raise ValidationError(f"{dataset_path}: {exc}") from exc
     if not samples:
         raise ValidationError(f"dataset has no samples: {dataset_path}")
     return samples, bank, meta
@@ -204,9 +206,16 @@ def cmd_analyze(args) -> int:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"trace line {lineno}: invalid JSON ({exc.msg})")
+            if not isinstance(row, dict) or not isinstance(row.get("domain"), str):
+                raise ValidationError(f"trace line {lineno}: 'domain' must be a string")
+            support = row.get("support_domains")
+            if not isinstance(support, list) or not all(isinstance(d, str) for d in support):
+                raise ValidationError(f"trace line {lineno}: 'support_domains' must be a list "
+                                      "of strings")
+            rows.append(row)
 
     domains = sorted({r["domain"] for r in rows})
     dindex = {d: i for i, d in enumerate(domains)}
@@ -214,11 +223,10 @@ def cmd_analyze(args) -> int:
     comp_sums = np.zeros((D, D))
     comp_counts = np.zeros(D)
     for r in rows:
-        sup = r.get("support_domains") or []
-        if not sup:
+        if not r["support_domains"]:
             continue
         vec = np.zeros(D)
-        for d in sup:
+        for d in r["support_domains"]:
             if d in dindex:
                 vec[dindex[d]] += 1
         if vec.sum() > 0:

@@ -332,11 +332,14 @@ def load_jsonl(
     path: str | Path,
     expected_dim: int | None = None,
     renormalize: bool = False,
+    num_classes: int | None = None,
 ) -> tuple[list[Sample], dict]:
     """Load a stream from JSONL, returning (samples, metadata).
 
     Vectors off unit norm by more than 1e-6 are rejected unless `renormalize`
-    is set.  Parse and shape failures report the 1-based line number.
+    is set.  A label must be a JSON integer, in [0, num_classes) when
+    `num_classes` is given.  Parse, shape and label failures report the
+    1-based line number.
     Metadata summarizes dimension, labels, and domains actually seen.
     """
     samples: list[Sample] = []
@@ -363,11 +366,18 @@ def load_jsonl(
                 raise ValueError(
                     f"line {lineno}: vector dim {v.shape[0]} does not match expected {dim}"
                 )
+            label = rec.get("label")
+            if label is not None and (
+                isinstance(label, bool) or not isinstance(label, int)
+                or (num_classes is not None and not 0 <= label < num_classes)
+            ):
+                bound = "" if num_classes is None else f" in [0, {num_classes})"
+                raise ValueError(f"line {lineno}: label must be an integer{bound}, got {label!r}")
             try:
                 v = _ensure_unit(v, "v", accept_tol=1e-6, renormalize=renormalize)
                 sample = Sample(
                     feature=v,
-                    true_label=None if rec.get("label") is None else int(rec["label"]),
+                    true_label=label,
                     domain_id=rec.get("domain"),
                 )
             except ValueError as exc:

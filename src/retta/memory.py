@@ -8,15 +8,20 @@ model.  Retrieval takes the most similar entries per class queue, which makes
 the returned support set class-balanced by construction whenever the queues
 are warm.
 
-Each queue is a window over arrays of 2 * capacity rows (z, d_weight, d_bias,
-entropy, seq, entry) allocated on its first insert.  Live rows are [start,
-start + size), oldest first; an insert writes the next row, dropping the
-oldest when full, and when the window hits the end of the buffer its rows
-move back to row 0, so each row is copied O(1) times on average.  Rows stay
-in arrival order, never rotated as in a ring buffer: BLAS gemv can round a
-row's dot product differently by its place in the block, which would give
-duplicate embeddings unequal similarities and break the ties-to-newer order
-of a scan over the queue oldest first.
+Each queue owns 2 * capacity rows of columns shared by all queues (z,
+d_weight, d_bias, entropy, entry, domain), allocated on the first insert.
+Its live rows are a window [start, start + size), oldest first; an insert
+writes the next row, dropping the oldest when full, and when the window hits
+the end of its rows they move back to its first row, so each row is copied
+O(1) times on average.  Rows stay in arrival order, never rotated as in a
+ring buffer: BLAS gemv can round a row's dot product differently by its place
+in the block, which would give duplicate embeddings unequal similarities and
+break the ties-to-newer order of a scan over the queue oldest first.
+
+`select` serves a whole batch of queries at once: one gemv per query and
+queue (a matrix product would round by the query's place in the batch), a
+top-k per row, and one gather per column from the shared rows.  `retrieve`
+and `sample_uniform` are its one-query forms.
 """
 
 from __future__ import annotations
@@ -94,41 +99,33 @@ class SupportSet:
 
 @dataclass(slots=True)
 class _Window:
-    """One queue: live rows [start, start + size) of 2 * capacity preallocated rows."""
+    """One queue: live rows [base + start, base + start + size) of its 2 * capacity rows."""
 
     capacity: int
+    base: int
     start: int = 0
     size: int = 0
-    cols: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def append(self, entry: MemoryEntry) -> None:
-        cols = self.cols
-        row_values = (entry.z, entry.grad.d_weight, entry.grad.d_bias, entry.entropy, entry.seq,
-                      entry)
-        d = cols["z"].shape[1] if cols else entry.z.shape[0]
-        if entry.z.shape != (d,) or entry.grad.d_weight.shape != (d,):
-            raise ValueError(f"memory rows have dim {d}, entry has {entry.z.shape[0]}")
-        if not cols:  # columns in the order of row_values
-            n = 2 * self.capacity
-            cols.update(z=np.empty((n, d)), d_weight=np.empty((n, d)), d_bias=np.empty((n, d)),
-                        entropy=np.empty(n), seq=np.empty(n, dtype=np.int64),
-                        entry=np.empty(n, dtype=object))
+    @property
+    def rows(self) -> slice:
+        """The live rows, oldest first."""
+        return slice(self.base + self.start, self.base + self.start + self.size)
+
+    def append(self, cols: dict[str, np.ndarray], row_values: tuple) -> None:
+        """Write one row (a value per column, in column order), dropping the oldest when full."""
         if self.size == self.capacity:
-            cols["entry"][self.start] = None
+            cols["entry"][self.base + self.start] = None
             self.start, self.size = self.start + 1, self.size - 1
         row = self.start + self.size
-        if row == len(cols["seq"]):
+        if row == 2 * self.capacity:
+            lo = self.base
             for col in cols.values():
-                col[: self.size] = col[self.start : row]
-            cols["entry"][self.size :] = None
+                col[lo : lo + self.size] = col[lo + self.start : lo + row]
+            cols["entry"][lo + self.size : lo + row] = None
             self.start, row = 0, self.size
         for col, value in zip(cols.values(), row_values):
-            col[row] = value
+            col[self.base + row] = value
         self.size += 1
-
-    def live(self, name: str) -> np.ndarray:
-        """The live rows of one column, oldest first (a view, not a copy)."""
-        return self.cols[name][self.start : self.start + self.size]
 
 
 class ClassMemory:
@@ -136,8 +133,9 @@ class ClassMemory:
 
     split mode: one queue per class, each holding at most `capacity_per_class`
     entries.  unsplit mode: a single queue of capacity C * K (the
-    no-prediction-balance ablation).  Each queue is a `_Window`; `queues`
-    lists each queue's entries oldest first.
+    no-prediction-balance ablation).  Each queue is a `_Window` over its own
+    rows of columns shared by all queues; `queues` lists each queue's entries
+    oldest first.
     """
 
     def __init__(self, num_classes: int, capacity_per_class: int, split: bool = True):
@@ -148,14 +146,16 @@ class ClassMemory:
         self.num_classes = num_classes
         self.capacity_per_class = capacity_per_class
         self.split = split
-        self._windows = ([_Window(capacity_per_class) for _ in range(num_classes)] if split
-                         else [_Window(num_classes * capacity_per_class)])
+        K = capacity_per_class
+        self._windows = ([_Window(K, base=2 * K * c) for c in range(num_classes)] if split
+                         else [_Window(num_classes * K, base=0)])
+        self._cols: dict[str, np.ndarray] = {}
         self._next_seq = 0
 
     @property
     def queues(self) -> list[list[MemoryEntry]]:
         """Each queue's entries, oldest first, as new lists (editing them changes nothing)."""
-        return [w.live("entry").tolist() if w.size else [] for w in self._windows]
+        return [self._cols["entry"][w.rows].tolist() if w.size else [] for w in self._windows]
 
     def __len__(self) -> int:
         return sum(w.size for w in self._windows)
@@ -170,23 +170,58 @@ class ClassMemory:
             raise ValueError(
                 f"pseudo_label {pseudo_label} out of range for {self.num_classes} classes"
             )
+        cols = self._cols
+        d = cols["z"].shape[1] if cols else entry.z.shape[0]
+        if entry.z.shape != (d,) or entry.grad.d_weight.shape != (d,):
+            raise ValueError(f"memory rows have dim {d}, entry has {entry.z.shape[0]}")
+        if not cols:  # columns in the order of the row values below
+            n = 2 * self.num_classes * self.capacity_per_class
+            cols.update(z=np.empty((n, d)), d_weight=np.empty((n, d)), d_bias=np.empty((n, d)),
+                        entropy=np.empty(n), entry=np.empty(n, dtype=object),
+                        domain=np.empty(n, dtype=object))
         entry.seq = self._next_seq
         self._next_seq += 1
         entry.pseudo_class = pseudo_label
-        self._windows[pseudo_label if self.split else 0].append(entry)
+        self._windows[pseudo_label if self.split else 0].append(
+            cols, (entry.z, entry.grad.d_weight, entry.grad.d_bias, entry.entropy, entry,
+                   entry.domain_id))
 
-    def _select(self, k: int, pick) -> SupportSet:
-        """Gather `pick(window, budget)` rows of each non-empty queue into a SupportSet."""
+    def select(self, queries: np.ndarray, k: int,
+               rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
+        """The support of each row of a (B, d) query block, stacked per column.
+
+        Each non-empty queue gives the top `budget` of its rows by inner
+        product with the query, ties to the more recent entry; with `rng`, a
+        uniform draw without replacement instead, drawn per query and then per
+        queue, and the query values are not read.  The budget is k per queue in
+        split mode and C * k in the single unsplit queue.  Returns z, d_weight,
+        d_bias, entropy, entry and domain as (B, m, ...) arrays; every query sees
+        the same memory, so m is the same for all.  An empty memory gives {}.
+        """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         budget = k if self.split else self.num_classes * k
-        picks = [(w, pick(w, budget)) for w in self._windows if w.size]
-        if not picks:
+        windows = [w for w in self._windows if w.size]
+        if not windows:
+            return {}
+        cols = self._cols
+        if rng is None:
+            picks = [_top(np.matmul(cols["z"][w.rows], queries[:, :, None])[:, :, 0], budget)
+                     for w in windows]
+        else:
+            draws = [[rng.choice(w.size, size=min(budget, w.size), replace=False) for w in windows]
+                     for _ in range(len(queries))]
+            picks = [np.stack([row[j] for row in draws]) for j in range(len(windows))]
+        rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
+        return {key: col[rows] for key, col in cols.items()}
+
+    @staticmethod
+    def _support(block: dict[str, np.ndarray]) -> SupportSet:
+        """The SupportSet of the first query of a `select` block."""
+        if not block:
             return SupportSet(entries=[])
-        entries = [e for w, idx in picks for e in w.live("entry")[idx].tolist()]
-        stacks = {key: np.concatenate([w.live(key)[idx] for w, idx in picks])
-                  for key in ("z", "entropy", "d_weight", "d_bias")}
-        return SupportSet(entries=entries, _stacks=stacks)
+        stacks = {key: block[key][0] for key in ("z", "entropy", "d_weight", "d_bias")}
+        return SupportSet(entries=block["entry"][0].tolist(), _stacks=stacks)
 
     def retrieve(self, query_z: np.ndarray, k: int) -> SupportSet:
         """Top-k most similar entries from each non-empty queue (weights unset).
@@ -195,18 +230,14 @@ class ClassMemory:
         recent entry.  In unsplit mode the single queue contributes the top
         C * k.  An empty memory yields an empty support set.
         """
-        query = np.asarray(query_z, dtype=np.float64)
-        # lexsort: primary key last -> sims descending, then seq descending
-        return self._select(k, lambda w, budget: np.lexsort(
-            (-w.live("seq"), -(w.live("z") @ query)))[:budget])
+        return self._support(self.select(np.asarray(query_z, dtype=np.float64)[None, :], k))
 
     def sample_uniform(self, k: int, rng: np.random.Generator) -> SupportSet:
         """Uniform draw without replacement, same per-queue budget as `retrieve`.
 
         Used by the no-domain-consistency ablation in place of top-k.
         """
-        return self._select(k, lambda w, budget: rng.choice(
-            w.size, size=min(budget, w.size), replace=False))
+        return self._support(self.select(np.empty((1, 0)), k, rng))
 
     def export_snapshot(self, path: str | Path, include_arrays: bool = False) -> None:
         """Dump entries as JSONL: {seq, pseudo_class, entropy, domain_id}.
@@ -228,6 +259,28 @@ class ClassMemory:
                         rec["d_bias"] = [float(x) for x in e.grad.d_bias]
                     fh.write(json.dumps(rec, sort_keys=True))
                     fh.write("\n")
+
+
+def _top(sims: np.ndarray, budget: int) -> np.ndarray:
+    """Per row of a (B, n) block, the columns of its `budget` largest values, best first.
+
+    Ties go to the higher column, the more recent entry.  In a block of
+    several rows a partition picks each row's top `budget` and only those are
+    sorted.  Whole rows are sorted instead for a single row (cheaper than the
+    partition's fixed cost), when a tie crosses the cut, or when the budget
+    covers the row.
+    """
+    B, n = sims.shape
+    neg = -sims
+    if 1 < B and budget < n:
+        part = np.argpartition(neg, budget - 1, axis=1)[:, :budget]
+        rows = np.arange(B)[:, None]
+        vals = neg[rows, part]
+        if np.count_nonzero(neg <= vals.max(axis=1, keepdims=True)) == part.size:
+            # lexsort: primary key last -> sims descending, then column descending
+            return part[rows, np.lexsort((-part, vals), axis=1)]
+    # a stable sort of the reversed row keeps tied columns newest first
+    return n - 1 - np.argsort(neg[:, ::-1], axis=1, kind="stable")[:, :budget]
 
 
 def weigh(

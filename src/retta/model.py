@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ UNIT_NORM_TOL = 1e-9
 
 def _as_f64(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -158,45 +158,93 @@ class GradRecord:
 
 
 def forward(feature: np.ndarray, params: AffineParams) -> np.ndarray:
-    """Element-wise affine transform z = v * weight + bias (not re-normalized)."""
+    """Element-wise affine transform z = v * weight + bias (not re-normalized).
+
+    `feature` is one vector or a (B, d) block with one feature per row.
+    """
     v = np.asarray(feature, dtype=np.float64)
-    if v.shape != params.weight.shape:
+    if v.shape[-1:] != params.weight.shape:
         raise ValueError(f"feature dim {v.shape} does not match params dim {params.weight.shape}")
     return v * params.weight + params.bias
 
 
-def _posterior(z: np.ndarray, bank: TextBank) -> tuple[Prediction, np.ndarray]:
-    """Prediction (logits, probs, entropy) and stabilized log-probs for an embedding."""
-    if z.shape[0] != bank.dim:
-        raise ValueError(f"embedding dim {z.shape[0]} does not match bank dim {bank.dim}")
-    logits = math.exp(bank.log_temp) * (bank.embeddings @ z)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    shifted = logits - np.max(logits)
-    log_probs = shifted - math.log(float(np.sum(np.exp(shifted))))
+def stack_features(samples: list[Sample], dim: int) -> np.ndarray:
+    """The samples' features as a (B, dim) block; names the first one of another dim."""
+    for i, s in enumerate(samples):
+        if s.feature.shape != (dim,):
+            raise ValueError(f"batch element {i}: feature dim {s.feature.shape} "
+                             f"does not match params dim {(dim,)}")
+    return np.stack([s.feature for s in samples])
+
+
+class _BadRow(ValueError):
+    """A posterior block row with a non-finite value; `row` is its index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _check_rows(block: np.ndarray, message: str) -> None:
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise _BadRow(int(np.argmin(finite)), message)
+
+
+@dataclass(frozen=True)
+class Posterior:
+    """Softmax posterior of each row of an embedding block (row i of every field is row i's).
+
+    `d_weight` and `d_bias` are the entropy gradients, None unless asked for.
+    """
+
+    logits: np.ndarray
+    probs: np.ndarray
+    entropy: np.ndarray
+    labels: np.ndarray
+    d_weight: np.ndarray | None = None
+    d_bias: np.ndarray | None = None
+
+    def predictions(self) -> list[Prediction]:
+        return [Prediction(logits, probs, pseudo_label=label, entropy=h) for logits, probs, label, h
+                in zip(self.logits, self.probs, self.labels.tolist(), self.entropy.tolist())]
+
+
+def posterior(z_block: np.ndarray, bank: TextBank, features: np.ndarray | None = None) -> Posterior:
+    """Logits, probs, entropy and argmax label of each row of a (B, d) embedding block.
+
+    Given the (B, d) `features` the block was computed from, the entropy
+    gradient of each row is computed as well (see `sample_grad`).  Each row is
+    computed on its own and bitwise the same in any batch: logits and T^T dH/dl
+    are one gemv per row (np.matmul over a stack of vectors), reductions run
+    along a row and the log-normalizer is a scalar `math.log` per row.  A
+    matrix product over the block would round a row by its place in the batch.
+    """
+    Z = np.asarray(z_block, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != bank.dim:
+        raise ValueError(f"embedding dim {Z.shape[-1]} does not match bank dim {bank.dim}")
+    scale = math.exp(bank.log_temp)
+    logits = scale * np.matmul(bank.embeddings, Z[:, :, None])[:, :, 0]
+    _check_rows(logits, "non-finite logits")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = [math.log(total) for total in np.exp(shifted).sum(axis=1).tolist()]
+    log_probs = shifted - np.array(log_norm)[:, None]
     probs = np.exp(log_probs)
     # p * log p -> 0 as p -> 0; guard the 0 * -inf corner explicitly.
-    plogp = np.where(probs > 0.0, probs * log_probs, 0.0)
-    entropy = float(-np.sum(plogp))
+    entropy = -np.where(probs > 0.0, probs * log_probs, 0.0).sum(axis=1)
     # argmax ties resolve to the lowest index
-    pred = Prediction(logits, probs, pseudo_label=int(np.argmax(probs)), entropy=entropy)
-    return pred, log_probs
+    post = Posterior(logits, probs, entropy, labels=probs.argmax(axis=1))
+    if features is None:
+        return post
+    dH_dl = np.where(probs > 0.0, -probs * (log_probs + entropy[:, None]), 0.0)
+    dH_dz = scale * np.matmul(bank.embeddings.T, dH_dl[:, :, None])[:, :, 0]
+    _check_rows(dH_dz, "non-finite intermediate in entropy gradient")
+    return replace(post, d_weight=dH_dz * features, d_bias=dH_dz)
 
 
 def predict(z: np.ndarray, bank: TextBank) -> Prediction:
     """Temperature-scaled cosine-logit softmax prediction for one embedding."""
-    return _posterior(np.asarray(z, dtype=np.float64), bank)[0]
-
-
-def _predict_and_grad(feature: np.ndarray, params: AffineParams, bank: TextBank):
-    """(Prediction, GradRecord) from a single posterior evaluation; see `sample_grad`."""
-    v = np.asarray(feature, dtype=np.float64)
-    pred, log_probs = _posterior(forward(v, params), bank)
-    dH_dl = np.where(pred.probs > 0.0, -pred.probs * (log_probs + pred.entropy), 0.0)
-    dH_dz = math.exp(bank.log_temp) * (bank.embeddings.T @ dH_dl)
-    if not np.all(np.isfinite(dH_dz)):
-        raise ValueError("non-finite intermediate in entropy gradient")
-    return pred, GradRecord(d_weight=dH_dz * v, d_bias=dH_dz)
+    return posterior(np.asarray(z, dtype=np.float64)[None, :], bank).predictions()[0]
 
 
 def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> GradRecord:
@@ -206,7 +254,9 @@ def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> Gr
     dH/dz = exp(log_temp) * T^T dH/dl, dH/dweight = dH/dz * v and
     dH/dbias = dH/dz.
     """
-    return _predict_and_grad(feature, params, bank)[1]
+    v = np.asarray(feature, dtype=np.float64)[None, :]
+    post = posterior(forward(v, params), bank, v)
+    return GradRecord(d_weight=post.d_weight[0], d_bias=post.d_bias[0])
 
 
 def batch_grads(
@@ -214,18 +264,18 @@ def batch_grads(
 ) -> list[tuple[Prediction, GradRecord]]:
     """Prediction and entropy gradient for each sample, order preserved.
 
-    Every element is computed independently, so the output is identical for
-    any partitioning of the batch.
+    One `posterior` pass over the batch; every element is computed on its own,
+    so the output is identical for any partitioning of the batch.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    out = []
-    for i, sample in enumerate(batch):
-        try:
-            out.append(_predict_and_grad(sample.feature, params, bank))
-        except ValueError as exc:
-            raise ValueError(f"batch element {i}: {exc}") from exc
-    return out
+    V = stack_features(batch, params.dim)
+    try:
+        post = posterior(forward(V, params), bank, V)
+    except _BadRow as exc:
+        raise ValueError(f"batch element {exc.row}: {exc}") from exc
+    grads = (GradRecord(d_weight=gw, d_bias=gb) for gw, gb in zip(post.d_weight, post.d_bias))
+    return list(zip(post.predictions(), grads))
 
 
 def entropy_at(feature: np.ndarray, params: AffineParams, bank: TextBank) -> float:

@@ -332,6 +332,40 @@ def test_criterion_10_cache_speedup():
         assert cached_change < 0.20
 
 
+def test_criterion_10_cached_path_makes_no_gradient_calls(monkeypatch):
+    with _Criterion(10, "cached engine makes no per-entry gradient calls") as c:
+        scfg = StreamConfig(num_classes=5, num_domains=3, dim=16,
+                            samples_per_domain=300, seed=0)
+        samples, bank = generate(scfg)
+        cfg = retta.AdapterConfig(capacity_per_class=120, retrieve_k=10, beta=5.0,
+                                  lr=1e-2, batch_size=100, seed=0)
+        calls = {"sample_grad": 0, "batch_grads": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (retta.model, retta.adapter):
+            monkeypatch.setattr(module, "sample_grad", counted("sample_grad", module.sample_grad))
+        monkeypatch.setattr(retta.adapter, "batch_grads",
+                            counted("batch_grads", retta.adapter.batch_grads))
+        cached = run_stream(samples, cfg, bank)
+        cached_calls = dict(calls)
+        # the counter does see the recomputing engine: one call per support entry
+        calls.update(sample_grad=0, batch_grads=0)
+        naive = run_stream(samples[:200], cfg, bank, recompute_grads=True)
+        entries = sum(o.support_size for o in cached)
+        c.detail = (f"cached: {cached_calls['sample_grad']} sample_grad calls for {entries} "
+                    f"support entries, {cached_calls['batch_grads']} batch_grads calls for "
+                    f"{len(samples) // cfg.batch_size} batches")
+        assert entries > 0
+        assert cached_calls["sample_grad"] == 0
+        assert cached_calls["batch_grads"] == len(samples) // cfg.batch_size
+        assert calls["sample_grad"] == sum(o.support_size for o in naive)
+
+
 def test_criterion_10b_singleton_support_parity():
     with _Criterion(10, "degenerate single-entry support timing parity") as c:
         scfg = StreamConfig(num_classes=2, num_domains=2, dim=12,

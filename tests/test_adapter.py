@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retta.adapter import (
     AdapterConfig,
@@ -289,6 +293,43 @@ def test_prediction_balance_is_structural_with_warm_queues():
     assert min(len(q) for q in mem.queues) >= cfg.retrieve_k
     for o in outcomes[-30:]:
         assert o.support_size == bank.num_classes * cfg.retrieve_k
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_batched_engine_matches_per_sample_oracle(data):
+    """Each cached `process_batch` outcome equals `adapt_and_predict` with recomputed
+    gradients on the same post-insert memory, over random batch partitions and
+    engine switches."""
+    samples, bank = small_stream(seed=data.draw(st.integers(0, 3), label="stream"), n=90)
+    topk = data.draw(st.booleans(), label="topk")
+    cfg = small_engine_cfg(
+        seed=data.draw(st.integers(0, 99), label="seed"),
+        capacity_per_class=data.draw(st.integers(1, 30), label="capacity"),
+        retrieve_k=data.draw(st.integers(1, 5), label="k"),
+        batch_size=data.draw(st.integers(1, 40), label="batch_size"),
+        optimizer=data.draw(st.sampled_from(["signsgd", "gd"]), label="optimizer"),
+        split_memory=data.draw(st.booleans(), label="split"),
+        topk_selection=topk,
+        beta=5.0 if topk else 0.0,
+        entropy_weighting=data.draw(st.booleans(), label="entw"),
+        similarity_weighting=data.draw(st.booleans(), label="simw"),
+    )
+    mem = ClassMemory(bank.num_classes, cfg.capacity_per_class, split=cfg.split_memory)
+    rng = np.random.default_rng(cfg.seed)
+    start = 0
+    while start < len(samples):
+        batch = samples[start : start + data.draw(st.integers(1, cfg.batch_size), label="size")]
+        start += len(batch)
+        clone = copy.deepcopy(rng)
+        for s, got in zip(batch, process_batch(batch, mem, cfg, bank, rng=rng)):
+            ref = adapt_and_predict(s, mem, cfg, bank, rng=clone, recompute_grads=True)
+            assert got.prediction.pseudo_label == ref.prediction.pseudo_label
+            assert got.support_size == ref.support_size
+            assert got.support_domain_ids == ref.support_domain_ids
+            np.testing.assert_array_equal(got.zero_shot.logits, ref.zero_shot.logits)
+            gap = np.max(np.abs(got.prediction.logits - ref.prediction.logits))
+            assert gap <= 1e-12 * np.max(np.abs(ref.prediction.logits))
 
 
 def test_batch_size_cap_enforced():

@@ -208,3 +208,60 @@ def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "grad"]) == 0
     out = capsys.readouterr().out
     assert "PASS grad" in out and "theorem" not in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("split_memory", "no"),
+    ("topk_selection", "false"),
+    ("entropy_weighting", 1),
+    ("similarity_weighting", None),
+    ("beta", True),
+    ("beta", float("inf")),
+    ("lr", True),
+    ("lr", "0.01"),
+    ("lr", float("nan")),
+])
+def test_run_rejects_non_boolean_switches_and_bad_floats(tmp_path, dataset_dir, capsys,
+                                                         field, value):
+    acfg = write_adapter_config(tmp_path / "adapter.json", **{field: value})
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert field in _single_error_line(capsys.readouterr().err)
+
+
+def _rewrite_jsonl_row(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[lineno - 1])
+    edit(row)
+    lines[lineno - 1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("label", [7, True, 3, -1, 1.0])
+def test_run_rejects_labels_that_are_not_class_indices(tmp_path, dataset_dir, capsys, label):
+    # the dataset has 3 classes: valid labels are the integers 0, 1, 2
+    _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 5, lambda row: row.update(label=label))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "line 5" in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: row.pop("domain"),
+    lambda row: row.update(domain=None),
+    lambda row: row.update(support_domains=5),
+    lambda row: row.pop("support_domains"),
+], ids=["no-domain", "null-domain", "support-not-a-list", "no-support"])
+def test_analyze_rejects_malformed_trace_rows(tmp_path, dataset_dir, capsys, edit):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    _rewrite_jsonl_row(run_dir / "trace.jsonl", 3, edit)
+    capsys.readouterr()
+    code = main(["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")])
+    assert code == 1
+    assert "line 3" in _single_error_line(capsys.readouterr().err)

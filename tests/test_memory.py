@@ -294,6 +294,46 @@ def test_window_matches_deque_replay_oracle(data):
         assert [id(x) for x in drawn] == [id(x) for x in expected]
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_batched_select_matches_per_query_retrieve_and_draws(data):
+    """`select` over a query block equals one `retrieve` per query; with a cloned
+    generator its uniform draws equal one `sample_uniform` call per query.
+
+    Embeddings and queries come from a small pool so exact similarity ties occur.
+    """
+    C = data.draw(st.integers(1, 4), label="classes")
+    K = data.draw(st.integers(1, 8), label="capacity")
+    split = data.draw(st.booleans(), label="split")
+    d = data.draw(st.integers(1, 5), label="dim")
+    B = data.draw(st.integers(1, 12), label="batch")
+    k = data.draw(st.integers(1, 2 * K), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    pool = [unit(rng, d) for _ in range(data.draw(st.integers(1, 3 * K), label="pool"))]
+    mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
+    for _ in range(data.draw(st.integers(1, 4 * C * K), label="inserts")):
+        e = MemoryEntry(z=pool[int(rng.integers(len(pool)))],
+                        grad=GradRecord(rng.standard_normal(d), rng.standard_normal(d)),
+                        entropy=float(rng.uniform(0.0, 1.2)), domain_id=f"dom{rng.integers(3)}")
+        mem.insert(e, pseudo_label=int(rng.integers(C)))
+    queries = np.stack([pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else unit(rng, d)
+                        for _ in range(B)])
+
+    block = mem.select(queries, k)
+    drawn = mem.select(queries, k, np.random.default_rng(seed))
+    clone = np.random.default_rng(seed)
+    for i, query in enumerate(queries):
+        for got, expected in ((block, mem.retrieve(query, k).entries),
+                              (drawn, mem.sample_uniform(k, clone).entries)):
+            assert [id(e) for e in got["entry"][i]] == [id(e) for e in expected]
+            assert got["domain"][i].tolist() == [e.domain_id for e in expected]
+            for key, value in (("z", lambda e: e.z), ("entropy", lambda e: e.entropy),
+                               ("d_weight", lambda e: e.grad.d_weight),
+                               ("d_bias", lambda e: e.grad.d_bias)):
+                np.testing.assert_array_equal(got[key][i], np.array([value(e) for e in expected]))
+
+
 # ---------------------------------------------------------------- weigh
 
 
