@@ -8,12 +8,13 @@ the persistent model is never mutated, which is exactly what keeps gradients
 cached at the pretrained parameters valid forever.
 
 `process_batch` runs these steps for a whole batch as array operations: one
-posterior pass for the gradients and zero-shot predictions, the inserts, one
-`ClassMemory.select` for every query's support, then the weighting,
-aggregation, step and adapted predict with a leading batch axis.  The
-per-sample engine (`adapt_and_predict` with `weigh`, `aggregate` and
-`aggregate_recomputed`) is the oracle it is checked and timed against; the
-recomputing mode of `process_batch` runs it.
+posterior pass for the gradients and zero-shot predictions, the inserts, then
+`ClassMemory.select` for the queries' supports and the weighting,
+aggregation, step and adapted predict with a leading batch axis, over row
+chunks that keep the (queries, support, dim) temporaries within a fixed byte
+budget.  The per-sample engine (`adapt_and_predict` with `weigh`,
+`aggregate` and `aggregate_recomputed`) is the oracle it is checked and
+timed against; the recomputing mode of `process_batch` runs it.
 
 Two reference engines live here as well: an online entropy-minimization
 baseline that keeps mutating one parameter set across batches (and must
@@ -219,6 +220,18 @@ def adapt_and_predict(
     )
 
 
+# Byte budget for the float64 temporaries of one array pass; a larger batch or
+# stream is processed in consecutive row chunks.  Rows never interact, so the
+# results do not depend on the chunking.
+_BLOCK_BYTES = 64 << 20
+
+
+def _row_chunks(rows: int, floats_per_row: int) -> list[slice]:
+    """Consecutive slices covering `rows` rows, each within `_BLOCK_BYTES` (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (8 * floats_per_row))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _adapt_block(V: np.ndarray, Z: np.ndarray, support: dict[str, np.ndarray],
                  cfg: AdapterConfig, params0: AffineParams, bank: TextBank) -> list[Prediction]:
     """`adapt_and_predict` for a whole batch at once, given each row's `select` support.
@@ -254,31 +267,39 @@ def process_batch(
     """Process one batch: gradients first, then inserts, then adaptation.
 
     All entries join memory before any sample adapts, so samples within a
-    batch can retrieve one another.  The cached engine adapts the whole batch
-    as array operations; `recompute_grads` runs the per-sample reference
-    engine (`adapt_and_predict`), which recomputes every support gradient.
+    batch can retrieve one another.  The cached engine adapts the batch as
+    array operations, in as few row chunks as `_BLOCK_BYTES` allows;
+    `recompute_grads` runs the per-sample reference engine
+    (`adapt_and_predict`), which recomputes every support gradient.
     """
     if len(batch) > cfg.batch_size:
         raise ValueError(f"batch of {len(batch)} exceeds configured batch_size {cfg.batch_size}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     params0 = AffineParams.pretrained(bank.dim)
-    evals = batch_grads(batch, params0, bank)
     V = stack_features(batch, bank.dim)
     Z = forward(V, params0)
+    evals = batch_grads(V, params0, bank)
+    zero_shot = [pred for pred, _ in evals]
     for sample, z, (pred, grad) in zip(batch, Z, evals):
         entry = MemoryEntry(z=z, grad=grad, entropy=pred.entropy, domain_id=sample.domain_id)
         mem.insert(entry, pred.pseudo_label)
     if recompute_grads:
         return [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch]
-    support = mem.select(Z, cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
-    adapted = _adapt_block(V, Z, support, cfg, params0, bank)
-    size = support["entropy"].shape[1]
-    return [
-        AdaptOutcome(prediction=pred, zero_shot=zero_shot, support_size=size,
-                     support_domain_ids=tuple(d for d in domains if d is not None))
-        for pred, (zero_shot, _), domains in zip(adapted, evals, support["domain"].tolist())
-    ]
+    # float64s per query: the support stacks and distances (4 d + 10 per entry),
+    # a similarity sort (3 per scanned row), the adapted posterior (8 per class, 4 per dim)
+    m = min(len(mem), bank.num_classes * cfg.retrieve_k)
+    per_query = (4 * bank.dim + 10) * m + 3 * len(mem) + 8 * bank.num_classes + 4 * bank.dim
+    out: list[AdaptOutcome] = []
+    for rows in _row_chunks(len(batch), per_query):
+        support = mem.select(Z[rows], cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
+        adapted = _adapt_block(V[rows], Z[rows], support, cfg, params0, bank)
+        size = support["entropy"].shape[1]
+        out.extend(
+            AdaptOutcome(prediction=pred, zero_shot=zs, support_size=size,
+                         support_domain_ids=tuple(d for d in domains if d is not None))
+            for pred, zs, domains in zip(adapted, zero_shot[rows], support["domain"].tolist()))
+    return out
 
 
 def run_stream(
@@ -330,11 +351,13 @@ def run_entropy_baseline(
 
 def run_zero_shot(stream: list[Sample], bank: TextBank) -> list[AdaptOutcome]:
     """Predict every sample at the pretrained parameters; no state anywhere."""
-    if not stream:
-        return []
-    V = forward(stack_features(stream, bank.dim), AffineParams.pretrained(bank.dim))
-    return [AdaptOutcome(prediction=pred, zero_shot=pred, support_size=0)
-            for pred in posterior(V, bank).predictions()]
+    params0 = AffineParams.pretrained(bank.dim)
+    out: list[AdaptOutcome] = []
+    for rows in _row_chunks(len(stream), 8 * bank.num_classes + 2 * bank.dim):
+        V = forward(stack_features(stream[rows], bank.dim, first=rows.start), params0)
+        out.extend(AdaptOutcome(prediction=pred, zero_shot=pred, support_size=0)
+                   for pred in posterior(V, bank).predictions())
+    return out
 
 
 def reference_adapter_config(seed: int = 0) -> AdapterConfig:

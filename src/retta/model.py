@@ -168,9 +168,14 @@ def forward(feature: np.ndarray, params: AffineParams) -> np.ndarray:
     return v * params.weight + params.bias
 
 
-def stack_features(samples: list[Sample], dim: int) -> np.ndarray:
-    """The samples' features as a (B, dim) block; names the first one of another dim."""
-    for i, s in enumerate(samples):
+def stack_features(samples: list[Sample], dim: int, first: int = 0) -> np.ndarray:
+    """The samples' features as a (B, dim) block; names the first one of another dim.
+
+    `first` is the batch index of `samples[0]`, for the error message.
+    """
+    if not samples:
+        raise ValueError("batch must be non-empty")
+    for i, s in enumerate(samples, start=first):
         if s.feature.shape != (dim,):
             raise ValueError(f"batch element {i}: feature dim {s.feature.shape} "
                              f"does not match params dim {(dim,)}")
@@ -260,16 +265,15 @@ def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> Gr
 
 
 def batch_grads(
-    batch: list[Sample], params: AffineParams, bank: TextBank
+    batch: list[Sample] | np.ndarray, params: AffineParams, bank: TextBank
 ) -> list[tuple[Prediction, GradRecord]]:
     """Prediction and entropy gradient for each sample, order preserved.
 
-    One `posterior` pass over the batch; every element is computed on its own,
-    so the output is identical for any partitioning of the batch.
+    `batch` is a list of samples or the (B, d) block `stack_features` makes of
+    them.  One `posterior` pass over the batch; every element is computed on
+    its own, so the output is identical for any partitioning of the batch.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    V = stack_features(batch, params.dim)
+    V = batch if isinstance(batch, np.ndarray) else stack_features(batch, params.dim)
     try:
         post = posterior(forward(V, params), bank, V)
     except _BadRow as exc:

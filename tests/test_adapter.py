@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import retta.adapter
 from retta.adapter import (
     AdapterConfig,
     ablation_config,
@@ -330,6 +331,41 @@ def test_batched_engine_matches_per_sample_oracle(data):
             np.testing.assert_array_equal(got.zero_shot.logits, ref.zero_shot.logits)
             gap = np.max(np.abs(got.prediction.logits - ref.prediction.logits))
             assert gap <= 1e-12 * np.max(np.abs(ref.prediction.logits))
+
+
+@pytest.mark.parametrize("variant", ["full", "no-pb", "no-dc"])
+def test_row_chunks_leave_results_bitwise_unchanged(monkeypatch, variant):
+    """With a byte budget that admits one query per chunk, every `select` call sees
+    one query and the engine and zero-shot outcomes are bitwise those of one chunk."""
+    samples, bank = small_stream(n=90)
+    cfg = ablation_config(small_engine_cfg(batch_size=30, capacity_per_class=10), variant)
+    whole = run_stream(samples, cfg, bank)
+    whole_zs = run_zero_shot(samples, bank)
+
+    sizes = []
+    select = ClassMemory.select
+
+    def spy(self, queries, *args, **kwargs):
+        sizes.append(len(queries))
+        return select(self, queries, *args, **kwargs)
+
+    monkeypatch.setattr(retta.adapter, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(ClassMemory, "select", spy)
+    chunked = run_stream(samples, cfg, bank)
+    assert sizes == [1] * len(samples)
+    for a, b in zip(whole + whole_zs, chunked + run_zero_shot(samples, bank)):
+        np.testing.assert_array_equal(a.prediction.logits, b.prediction.logits)
+        np.testing.assert_array_equal(a.zero_shot.logits, b.zero_shot.logits)
+        assert (a.support_size, a.support_domain_ids) == (b.support_size, b.support_domain_ids)
+
+
+def test_zero_shot_chunks_name_the_stream_index_of_a_bad_feature(monkeypatch):
+    samples, bank = small_stream(n=20)
+    short = np.ones(bank.dim - 1) / np.sqrt(bank.dim - 1)
+    stream = samples[:13] + [Sample(feature=short)] + samples[13:]
+    monkeypatch.setattr(retta.adapter, "_BLOCK_BYTES", 1)
+    with pytest.raises(ValueError, match="batch element 13: feature dim"):
+        run_zero_shot(stream, bank)
 
 
 def test_batch_size_cap_enforced():
