@@ -161,10 +161,6 @@ def gd_step(params: AffineParams, grad: GradRecord, eta: float) -> AffineParams:
     return AffineParams(*_step("gd", params, grad.d_weight, grad.d_bias, eta))
 
 
-def _optimizer_step(cfg: AdapterConfig):
-    return signsgd_step if cfg.optimizer == "signsgd" else gd_step
-
-
 def adapt_and_predict(
     sample: Sample,
     mem: ClassMemory,
@@ -208,7 +204,7 @@ def adapt_and_predict(
         grad = aggregate_recomputed(support, params0, bank)
     else:
         grad = aggregate(support)
-    adapted = _optimizer_step(cfg)(params0, grad, cfg.lr)
+    adapted = (signsgd_step if cfg.optimizer == "signsgd" else gd_step)(params0, grad, cfg.lr)
     pred = predict(forward(sample.feature, adapted), bank)
     return AdaptOutcome(
         prediction=pred,
@@ -232,18 +228,18 @@ def _row_chunks(rows: int, floats_per_row: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _adapt_block(V: np.ndarray, Z: np.ndarray, support: dict[str, np.ndarray],
-                 cfg: AdapterConfig, params0: AffineParams, bank: TextBank) -> list[Prediction]:
+def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConfig,
+                 params0: AffineParams, bank: TextBank) -> list[Prediction]:
     """`adapt_and_predict` for a whole batch at once, given each row's `select` support.
 
     Same arithmetic as `weigh`, `aggregate` and the optimizer step, with one
-    more leading axis for the batch.
+    more leading axis for the batch.  The features `V` are the queries too.
     """
     log_raw = np.zeros(support["entropy"].shape)
     if cfg.entropy_weighting:
         log_raw -= support["entropy"]
     if cfg.similarity_weighting:
-        diff = support["z"] - Z[:, None, :]
+        diff = support["z"] - V[:, None, :]
         log_raw -= cfg.beta * np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
     if not np.all(np.isfinite(log_raw)):
         raise ValueError("non-finite aggregation weights (degenerate entropies or distances)")
@@ -277,12 +273,11 @@ def process_batch(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     params0 = AffineParams.pretrained(bank.dim)
-    V = stack_features(batch, bank.dim)
-    Z = forward(V, params0)
+    V = stack_features(batch, bank.dim)  # the embeddings too: forward at params0 is the identity
     evals = batch_grads(V, params0, bank)
     zero_shot = [pred for pred, _ in evals]
-    for sample, z, (pred, grad) in zip(batch, Z, evals):
-        entry = MemoryEntry(z=z, grad=grad, entropy=pred.entropy, domain_id=sample.domain_id)
+    for sample, v, (pred, grad) in zip(batch, V, evals):
+        entry = MemoryEntry(z=v, grad=grad, entropy=pred.entropy, domain_id=sample.domain_id)
         mem.insert(entry, pred.pseudo_label)
     if recompute_grads:
         return [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch]
@@ -292,8 +287,8 @@ def process_batch(
     per_query = (4 * bank.dim + 10) * m + 3 * len(mem) + 8 * bank.num_classes + 4 * bank.dim
     out: list[AdaptOutcome] = []
     for rows in _row_chunks(len(batch), per_query):
-        support = mem.select(Z[rows], cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
-        adapted = _adapt_block(V[rows], Z[rows], support, cfg, params0, bank)
+        support = mem.select(V[rows], cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
+        adapted = _adapt_block(V[rows], support, cfg, params0, bank)
         size = support["entropy"].shape[1]
         out.extend(
             AdaptOutcome(prediction=pred, zero_shot=zs, support_size=size,
@@ -334,8 +329,7 @@ def run_entropy_baseline(
     pretrained parameters), one SignSGD step, then predict the batch with the
     updated parameters.
     """
-    params0 = AffineParams.pretrained(bank.dim)
-    params = params0
+    params = AffineParams.pretrained(bank.dim)
     out: list[AdaptOutcome] = []
     for start in range(0, len(stream), cfg.batch_size):
         V = stack_features(stream[start : start + cfg.batch_size], bank.dim)
@@ -343,18 +337,17 @@ def run_entropy_baseline(
         mean_grad = GradRecord(post.d_weight.mean(axis=0), post.d_bias.mean(axis=0))
         params = signsgd_step(params, mean_grad, cfg.lr)
         adapted = posterior(forward(V, params), bank).predictions()
-        zero_shot = posterior(forward(V, params0), bank).predictions()
+        zero_shot = posterior(V, bank).predictions()
         out.extend(AdaptOutcome(prediction=pred, zero_shot=zs, support_size=0)
                    for pred, zs in zip(adapted, zero_shot))
     return out
 
 
 def run_zero_shot(stream: list[Sample], bank: TextBank) -> list[AdaptOutcome]:
-    """Predict every sample at the pretrained parameters; no state anywhere."""
-    params0 = AffineParams.pretrained(bank.dim)
+    """Predict every sample at the pretrained parameters, where the embedding is the feature."""
     out: list[AdaptOutcome] = []
     for rows in _row_chunks(len(stream), 8 * bank.num_classes + 2 * bank.dim):
-        V = forward(stack_features(stream[rows], bank.dim, first=rows.start), params0)
+        V = stack_features(stream[rows], bank.dim, first=rows.start)
         out.extend(AdaptOutcome(prediction=pred, zero_shot=pred, support_size=0)
                    for pred in posterior(V, bank).predictions())
     return out

@@ -1,10 +1,11 @@
 """Evaluation reports, retrieval diagnostics, and numerical verifiers.
 
-Covers four jobs: scoring a run (per-domain accuracies with macro averaging,
+Covers five jobs: scoring a run (per-domain accuracies with macro averaging,
 plus the domain-composition matrix of the retrieved support sets), the
 similarity-decile same-domain statistic, an exact check of the closed-form
 feature-importance prediction for one gradient-descent step in the binary
-setting, and the cached-vs-recompute timing harness.
+setting, the cached-vs-recompute timing harness, and the report files (the
+composition matrix and the composition and bins writers serve `analyze` too).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class EvalReport:
     domain_order: list[str]
     composition_matrix: np.ndarray
     same_domain_ratio_bins: np.ndarray | None = None
-    timing: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -54,7 +54,6 @@ class EvalReport:
                 if self.same_domain_ratio_bins is None
                 else [float(x) for x in self.same_domain_ratio_bins]
             ),
-            "timing": self.timing,
         }
 
 
@@ -75,17 +74,43 @@ class ImportanceCheck:
     diag_only_gap: float
 
 
+def composition_matrix(domains: list[str], rows) -> np.ndarray:
+    """Support composition in percent, one row per query domain in `domains`.
+
+    `rows` yields (query domain, support domain ids).  Row i averages, over the
+    queries from `domains[i]` with non-empty support, the fraction of their
+    support from each of `domains` (others are not counted), or is all zeros.
+    """
+    dindex = {d: i for i, d in enumerate(domains)}
+    D = len(domains)
+    comp_sums = np.zeros((D, D))
+    comp_counts = np.zeros(D)
+    for domain, support in rows:
+        if not support:
+            continue
+        row = np.zeros(D)
+        for d in support:
+            if d in dindex:
+                row[dindex[d]] += 1
+        row_total = row.sum()
+        if row_total > 0:
+            comp_sums[dindex[domain]] += row / row_total
+            comp_counts[dindex[domain]] += 1
+    composition = np.zeros((D, D))
+    for i in range(D):
+        if comp_counts[i] > 0:
+            composition[i] = 100.0 * comp_sums[i] / comp_counts[i]
+    return composition
+
+
 def evaluate(
     samples: list[Sample],
     outcomes: list[AdaptOutcome],
     same_domain_ratio_bins: np.ndarray | None = None,
-    timing: dict[str, float] | None = None,
 ) -> EvalReport:
     """Score a run: per-domain accuracy, macro average, and support composition.
 
-    The macro average is the unweighted mean over domains.  Composition row i
-    averages, over queries from domain i with non-empty support, the fraction
-    of their support drawn from each domain (as percent).  Invariant to the
+    The macro average is the unweighted mean over domains.  Invariant to the
     order of (sample, outcome) pairs.
     """
     if len(samples) != len(outcomes):
@@ -94,32 +119,17 @@ def evaluate(
         if s.true_label is None or s.domain_id is None:
             raise ValueError(f"sample {i} is missing true_label or domain_id")
     domains = sorted({s.domain_id for s in samples})
-    dindex = {d: i for i, d in enumerate(domains)}
-    D = len(domains)
 
     correct = {d: 0 for d in domains}
     totals = {d: 0 for d in domains}
-    comp_sums = np.zeros((D, D))
-    comp_counts = np.zeros(D)
     for s, o in zip(samples, outcomes):
         totals[s.domain_id] += 1
         if o.prediction.pseudo_label == s.true_label:
             correct[s.domain_id] += 1
-        if o.support_domain_ids:
-            row = np.zeros(D)
-            for d in o.support_domain_ids:
-                if d in dindex:
-                    row[dindex[d]] += 1
-            row_total = row.sum()
-            if row_total > 0:
-                comp_sums[dindex[s.domain_id]] += row / row_total
-                comp_counts[dindex[s.domain_id]] += 1
 
     per_domain = {d: correct[d] / totals[d] for d in domains}
-    composition = np.zeros((D, D))
-    for i in range(D):
-        if comp_counts[i] > 0:
-            composition[i] = 100.0 * comp_sums[i] / comp_counts[i]
+    composition = composition_matrix(
+        domains, ((s.domain_id, o.support_domain_ids) for s, o in zip(samples, outcomes)))
     return EvalReport(
         per_domain_accuracy=per_domain,
         macro_average=float(np.mean([per_domain[d] for d in domains])),
@@ -127,7 +137,6 @@ def evaluate(
         domain_order=domains,
         composition_matrix=composition,
         same_domain_ratio_bins=same_domain_ratio_bins,
-        timing=timing,
     )
 
 
@@ -322,20 +331,28 @@ def write_report_files(report: EvalReport, out_dir: str | Path) -> list[Path]:
         writer.writerow(["overall", f"{report.overall_accuracy:.6f}"])
     written.append(per_domain_path)
 
-    composition_path = out / "composition.csv"
-    with open(composition_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_domain"] + list(report.domain_order))
-        for d, row in zip(report.domain_order, report.composition_matrix):
-            writer.writerow([d] + [f"{x:.4f}" for x in row])
-    written.append(composition_path)
+    written.append(write_composition_csv(out / "composition.csv", report.domain_order,
+                                         report.composition_matrix))
+    written.append(write_bins_csv(out / "bins.csv", report.same_domain_ratio_bins))
+    return written
 
-    bins_path = out / "bins.csv"
-    with open(bins_path, "w", newline="") as fh:
+
+def write_composition_csv(path: Path, domains: list[str], composition: np.ndarray) -> Path:
+    """composition.csv: a header of the support domains, then one row per query domain."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["query_domain"] + list(domains))
+        for d, row in zip(domains, composition):
+            writer.writerow([d] + [f"{x:.4f}" for x in row])
+    return path
+
+
+def write_bins_csv(path: Path, bins: np.ndarray | None) -> Path:
+    """bins.csv: the same-domain ratio of each similarity bin; only the header if None."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "same_domain_ratio"])
-        if report.same_domain_ratio_bins is not None:
-            for i, r in enumerate(report.same_domain_ratio_bins, start=1):
+        if bins is not None:
+            for i, r in enumerate(bins, start=1):
                 writer.writerow([i, f"{r:.6f}"])
-    written.append(bins_path)
-    return written
+    return path

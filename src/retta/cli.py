@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -127,13 +126,13 @@ def _load_dataset(dataset_dir: str, renormalize: bool):
         raise ValidationError(f"text bank not found: {bank_path}")
     bank = model.load_text_bank(bank_path, renormalize=renormalize)
     try:
-        samples, meta = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
-                                           renormalize=renormalize, num_classes=bank.num_classes)
+        samples, _ = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
+                                        renormalize=renormalize, num_classes=bank.num_classes)
     except ValueError as exc:
         raise ValidationError(f"{dataset_path}: {exc}") from exc
     if not samples:
         raise ValidationError(f"dataset has no samples: {dataset_path}")
-    return samples, bank, meta
+    return samples, bank
 
 
 def _run_method(method: str, samples, cfg: adapter.AdapterConfig, bank):
@@ -153,7 +152,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args.config, adapter.AdapterConfig, "adapter")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    samples, bank, meta = _load_dataset(args.dataset, args.renormalize)
+    samples, bank = _load_dataset(args.dataset, args.renormalize)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -215,36 +214,11 @@ def cmd_analyze(args) -> int:
             if not isinstance(support, list) or not all(isinstance(d, str) for d in support):
                 raise ValidationError(f"trace line {lineno}: 'support_domains' must be a list "
                                       "of strings")
-            rows.append(row)
+            rows.append((row["domain"], support))
 
-    domains = sorted({r["domain"] for r in rows})
-    dindex = {d: i for i, d in enumerate(domains)}
-    D = len(domains)
-    comp_sums = np.zeros((D, D))
-    comp_counts = np.zeros(D)
-    for r in rows:
-        if not r["support_domains"]:
-            continue
-        vec = np.zeros(D)
-        for d in r["support_domains"]:
-            if d in dindex:
-                vec[dindex[d]] += 1
-        if vec.sum() > 0:
-            comp_sums[dindex[r["domain"]]] += vec / vec.sum()
-            comp_counts[dindex[r["domain"]]] += 1
-    composition = np.zeros((D, D))
-    for i in range(D):
-        if comp_counts[i] > 0:
-            composition[i] = 100.0 * comp_sums[i] / comp_counts[i]
-
-    comp_path = out_dir / "composition.csv"
-    with open(comp_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_domain"] + domains)
-        for d, row in zip(domains, composition):
-            writer.writerow([d] + [f"{x:.4f}" for x in row])
-
-    written = [comp_path]
+    domains = sorted({domain for domain, _ in rows})
+    written = [analysis.write_composition_csv(out_dir / "composition.csv", domains,
+                                              analysis.composition_matrix(domains, rows))]
     dataset_dir = args.dataset
     if dataset_dir is None:
         # default: the dataset recorded in the run's manifest
@@ -253,15 +227,9 @@ def cmd_analyze(args) -> int:
             with open(manifest_path) as fh:
                 dataset_dir = json.load(fh).get("inputs", {}).get("dataset")
     if dataset_dir is not None and Path(dataset_dir).exists():
-        samples, bank, _ = _load_dataset(dataset_dir, renormalize=False)
+        samples, _ = _load_dataset(dataset_dir, renormalize=False)
         bins = analysis.similarity_bins(samples, seed=args.seed or 0)
-        bins_path = out_dir / "bins.csv"
-        with open(bins_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin", "same_domain_ratio"])
-            for i, r in enumerate(bins, start=1):
-                writer.writerow([i, f"{r:.6f}"])
-        written.append(bins_path)
+        written.append(analysis.write_bins_csv(out_dir / "bins.csv", bins))
 
     _write_manifest(
         out_dir,
@@ -395,10 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

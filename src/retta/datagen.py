@@ -338,8 +338,8 @@ def load_jsonl(
 
     Vectors off unit norm by more than 1e-6 are rejected unless `renormalize`
     is set.  A label must be a JSON integer, in [0, num_classes) when
-    `num_classes` is given.  Parse, shape and label failures report the
-    1-based line number.
+    `num_classes` is given.  A domain, when present, must be a JSON string.
+    Parse, shape, label and domain failures report the 1-based line number.
     Metadata summarizes dimension, labels, and domains actually seen.
     """
     samples: list[Sample] = []
@@ -373,12 +373,15 @@ def load_jsonl(
             ):
                 bound = "" if num_classes is None else f" in [0, {num_classes})"
                 raise ValueError(f"line {lineno}: label must be an integer{bound}, got {label!r}")
+            domain = rec.get("domain")
+            if domain is not None and not isinstance(domain, str):
+                raise ValueError(f"line {lineno}: domain must be a string, got {domain!r}")
             try:
                 v = _ensure_unit(v, "v", accept_tol=1e-6, renormalize=renormalize)
                 sample = Sample(
                     feature=v,
                     true_label=label,
-                    domain_id=rec.get("domain"),
+                    domain_id=domain,
                 )
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc

@@ -26,9 +26,7 @@ and `sample_uniform` are its one-query forms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -238,27 +236,6 @@ class ClassMemory:
         Used by the no-domain-consistency ablation in place of top-k.
         """
         return self._support(self.select(np.empty((1, 0)), k, rng))
-
-    def export_snapshot(self, path: str | Path, include_arrays: bool = False) -> None:
-        """Dump entries as JSONL: {seq, pseudo_class, entropy, domain_id}.
-
-        Embeddings and gradients are omitted unless `include_arrays` is set.
-        """
-        with open(path, "w") as fh:
-            for q in self.queues:
-                for e in q:
-                    rec = {
-                        "seq": e.seq,
-                        "pseudo_class": e.pseudo_class,
-                        "entropy": e.entropy,
-                        "domain_id": e.domain_id,
-                    }
-                    if include_arrays:
-                        rec["z"] = [float(x) for x in e.z]
-                        rec["d_weight"] = [float(x) for x in e.grad.d_weight]
-                        rec["d_bias"] = [float(x) for x in e.grad.d_bias]
-                    fh.write(json.dumps(rec, sort_keys=True))
-                    fh.write("\n")
 
 
 def _top(sims: np.ndarray, budget: int) -> np.ndarray:

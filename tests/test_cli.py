@@ -188,6 +188,8 @@ def test_analyze_recomputes_composition_and_bins(tmp_path, dataset_dir):
     assert (out / "bins.csv").exists()
     # composition recomputed from the trace matches the run's own
     assert (out / "composition.csv").read_bytes() == (run_dir / "composition.csv").read_bytes()
+    # so do the bins: the run and analyze both draw their pairs with seed 0
+    assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
 
 
 def test_analyze_requires_a_trace(tmp_path, capsys):
@@ -247,6 +249,30 @@ def test_run_rejects_labels_that_are_not_class_indices(tmp_path, dataset_dir, ca
                  "--config", str(acfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "line 5" in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("domain", [5, 1.5, True, ["dom0"], {"name": "dom0"}])
+def test_run_rejects_a_domain_that_is_not_a_string(tmp_path, dataset_dir, capsys, domain):
+    _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 5, lambda row: row.update(domain=domain))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "line 5" in line and "domain" in line
+
+
+def test_run_rejects_integer_domains_on_every_row(tmp_path, dataset_dir, capsys):
+    # all-int domains sort without error, so only the loader can stop a trace analyze rejects
+    path = dataset_dir / "dataset.jsonl"
+    for lineno in range(1, len(path.read_text().splitlines()) + 1):
+        _rewrite_jsonl_row(path, lineno, lambda row: row.update(domain=int(row["domain"][3:])))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "line 1" in _single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "x" / "trace.jsonl").exists()
 
 
 @pytest.mark.parametrize("edit", [

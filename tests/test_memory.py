@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 import numpy as np
@@ -10,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retta.adapter import aggregate, signsgd_step
 from retta.memory import ClassMemory, MemoryEntry, SupportSet, weigh
-from retta.model import GradRecord
+from retta.model import AffineParams, GradRecord, TextBank, forward, predict
 
 
 def unit(rng, d):
@@ -442,20 +442,39 @@ def test_with_raw_weights_normalizes_by_the_sum():
         SupportSet(entries=entries).with_raw_weights(np.array([1.0, 0.0, 2.0]))
 
 
-# ---------------------------------------------------------------- export
+@settings(max_examples=60)
+@given(data=st.data())
+def test_rescaled_raw_weights_leave_weights_and_signsgd_logits_unchanged(data):
+    """Weights depend on the raw weights only up to a positive scale.
 
+    A power-of-two scale is exact in binary, so weights and the SignSGD-adapted
+    logits stay bitwise equal; any scale in [1e-6, 1e6] moves a weight by at
+    most 1e-15 relative.  Entropies in [0, 5], distances in [0, 2] and beta in
+    [0, 20] keep every raw weight above e^-45, so scaled ones stay normal floats.
+    """
+    n = data.draw(st.integers(1, 30), label="support")
+    d = data.draw(st.integers(2, 16), label="dim")
+    C = data.draw(st.integers(2, 5), label="classes")
+    beta = data.draw(st.floats(0.0, 20.0), label="beta")
+    entropy_weighting = data.draw(st.booleans(), label="entropy_weighting")
+    similarity_weighting = data.draw(st.booleans(), label="similarity_weighting")
+    entropies = data.draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n), label="entropies")
+    power = data.draw(st.integers(-40, 40), label="power")
+    scale = data.draw(st.floats(1e-6, 1e6), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    entries = [entry(rng, d, entropy=h) for h in entropies]
+    query = unit(rng, d)
+    bank = TextBank(np.stack([unit(rng, d) for _ in range(C)]), float(rng.uniform(0.0, 4.0)),
+                    [f"c{i}" for i in range(C)])
 
-def test_snapshot_export_round_trips_metadata(tmp_path):
-    rng = np.random.default_rng(22)
-    mem = ClassMemory(num_classes=2, capacity_per_class=5)
-    for i in range(6):
-        mem.insert(entry(rng, domain=f"dom{i % 2}"), pseudo_label=i % 2)
-    path = tmp_path / "snapshot.jsonl"
-    mem.export_snapshot(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == 6
-    assert {r["pseudo_class"] for r in rows} == {0, 1}
-    assert all("z" not in r for r in rows)
-    mem.export_snapshot(path, include_arrays=True)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert all(len(r["z"]) == 4 and len(r["d_weight"]) == 4 for r in rows)
+    raw = weigh(SupportSet(entries=entries), query, beta, entropy_weighting=entropy_weighting,
+                similarity_weighting=similarity_weighting).raw_weights
+    base = SupportSet(entries=entries).with_raw_weights(raw)
+    exact = SupportSet(entries=entries).with_raw_weights(2.0**power * raw)
+    np.testing.assert_array_equal(exact.weights, base.weights)
+    params0 = AffineParams.pretrained(d)
+    logits = [predict(forward(query, signsgd_step(params0, aggregate(s), 1e-2)), bank).logits
+              for s in (base, exact)]
+    np.testing.assert_array_equal(logits[1], logits[0])
+    scaled = SupportSet(entries=entries).with_raw_weights(scale * raw)
+    np.testing.assert_allclose(scaled.weights, base.weights, rtol=1e-15, atol=0)
