@@ -31,6 +31,10 @@ from .model import (
 )
 
 
+# pairs per similarity block in similarity_bins: bounds its temporaries
+_PAIR_CHUNK = 4096
+
+
 @dataclass
 class EvalReport:
     """Run-level metrics; composition rows are percentages summing to 100."""
@@ -149,11 +153,20 @@ def similarity_bins(
     """Same-domain fraction per similarity decile, highest similarity first.
 
     Pairs are subsampled (seeded) when their count exceeds `max_pairs`; the
-    statistic is stable under subsampling.
+    statistic is stable under subsampling.  The deciles are exact: pairs are
+    ranked by descending similarity with ties in pair order, and bin b holds
+    the ranks of `np.array_split(ranks, num_bins)[b]` (empty bins read 0.0).
+    Similarities are computed `_PAIR_CHUNK` pairs at a time and no pair is
+    ranked individually, so memory holds a few arrays of one value per pair.
     """
-    domains = {s.domain_id for s in samples}
+    for i, s in enumerate(samples):
+        if s.domain_id is None:
+            raise ValueError(f"sample {i} has no domain_id")
+    domains = sorted({s.domain_id for s in samples})
     if len(domains) < 2:
         raise ValueError("similarity bins need at least 2 domains")
+    if num_bins < 1:
+        raise ValueError("num_bins must be at least 1")
     n = len(samples)
     total_pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
@@ -164,13 +177,34 @@ def similarity_bins(
         jj = rng.integers(0, n - 1, size=max_pairs)
         jj = np.where(jj >= ii, jj + 1, jj)  # j != i, uniform over ordered pairs
     feats = np.stack([s.feature for s in samples])
-    sims = np.einsum("ij,ij->i", feats[ii], feats[jj])
-    code_of = {d: i for i, d in enumerate(sorted(domains))}
+    code_of = {d: i for i, d in enumerate(domains)}
     dom_codes = np.array([code_of[s.domain_id] for s in samples])
-    same = dom_codes[ii] == dom_codes[jj]
-    order = np.argsort(-sims, kind="stable")
-    chunks = np.array_split(same[order], num_bins)
-    return np.array([float(np.mean(c)) if len(c) else 0.0 for c in chunks])
+    m = len(ii)
+    sims = np.empty(m)
+    same = np.empty(m, dtype=bool)
+    for start in range(0, m, _PAIR_CHUNK):
+        a, b = ii[start : start + _PAIR_CHUNK], jj[start : start + _PAIR_CHUNK]
+        np.einsum("ij,ij->i", feats.take(a, axis=0), feats.take(b, axis=0),
+                  out=sims[start : start + _PAIR_CHUNK])
+        np.equal(dom_codes[a], dom_codes[b], out=same[start : start + _PAIR_CHUNK])
+
+    ascending = np.sort(sims)
+
+    def same_in_top(e: int) -> int:
+        """Same-domain pairs among the first e ranks."""
+        if e == 0:
+            return 0
+        v = ascending[m - e]  # the e-th largest similarity
+        above = sims > v
+        # the first pairs with similarity v, in pair order, fill the ranks up to e
+        tied = np.flatnonzero(sims == v)[: e - int(np.count_nonzero(above))]
+        return int(np.count_nonzero(same & above)) + int(np.count_nonzero(same[tied]))
+
+    size, extra = divmod(m, num_bins)
+    sizes = [size + 1] * extra + [size] * (num_bins - extra)
+    cuts = np.cumsum([0] + sizes)
+    counts = np.diff([same_in_top(int(e)) for e in cuts])
+    return np.array([c / k if k else 0.0 for c, k in zip(counts, sizes)])
 
 
 def _scaled_text_delta(bank: TextBank) -> np.ndarray:

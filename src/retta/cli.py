@@ -146,6 +146,13 @@ def _run_method(method: str, samples, cfg: adapter.AdapterConfig, bank):
     raise ValidationError(f"unknown method '{method}' (choose from {', '.join(METHODS)})")
 
 
+def _similarity_bins(samples, seed: int):
+    """The run's similarity bins, or None (a header-only bins.csv) for one domain."""
+    if len({s.domain_id for s in samples}) < 2:
+        return None
+    return analysis.similarity_bins(samples, seed=seed)
+
+
 def cmd_run(args) -> int:
     if args.method not in METHODS:
         raise ValidationError(f"unknown method '{args.method}' (choose from {', '.join(METHODS)})")
@@ -157,9 +164,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes = _run_method(args.method, samples, cfg, bank)
-    bins = None
-    if len({s.domain_id for s in samples}) >= 2:
-        bins = analysis.similarity_bins(samples, seed=cfg.seed)
+    bins = _similarity_bins(samples, cfg.seed)
     report = analysis.evaluate(samples, outcomes, same_domain_ratio_bins=bins)
     written = analysis.write_report_files(report, out_dir)
 
@@ -180,7 +185,8 @@ def cmd_run(args) -> int:
         out_dir,
         command="run",
         config=asdict(cfg),
-        inputs={"dataset": str(args.dataset), "config": str(args.config)},
+        inputs={"dataset": str(args.dataset), "config": str(args.config),
+                "renormalize": args.renormalize},
         outputs=written,
         seed=cfg.seed,
         method=args.method,
@@ -216,28 +222,36 @@ def cmd_analyze(args) -> int:
                                       "of strings")
             rows.append((row["domain"], support))
 
+    # default to the dataset, seed and --renormalize that the run recorded
+    manifest_path = run_dir / "manifest.json"
+    recorded = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    inputs = recorded.get("inputs", {}) if isinstance(recorded, dict) else None
+    if not isinstance(inputs, dict):
+        raise ValidationError(f"{manifest_path}: expected a JSON object with an 'inputs' object")
+    dataset_dir = args.dataset if args.dataset is not None else inputs.get("dataset")
+    seed = args.seed if args.seed is not None else recorded.get("seed", 0)
+    renormalize = inputs.get("renormalize", False)
+    if isinstance(seed, bool) or not isinstance(seed, int) or not isinstance(renormalize, bool):
+        raise ValidationError(f"{manifest_path}: 'seed' must be an integer and "
+                              "'inputs.renormalize' a boolean")
+    samples = None
+    if dataset_dir is not None:
+        samples, _ = _load_dataset(dataset_dir, renormalize=renormalize)
+
     domains = sorted({domain for domain, _ in rows})
     written = [analysis.write_composition_csv(out_dir / "composition.csv", domains,
                                               analysis.composition_matrix(domains, rows))]
-    dataset_dir = args.dataset
-    if dataset_dir is None:
-        # default: the dataset recorded in the run's manifest
-        manifest_path = run_dir / "manifest.json"
-        if manifest_path.exists():
-            with open(manifest_path) as fh:
-                dataset_dir = json.load(fh).get("inputs", {}).get("dataset")
-    if dataset_dir is not None and Path(dataset_dir).exists():
-        samples, _ = _load_dataset(dataset_dir, renormalize=False)
-        bins = analysis.similarity_bins(samples, seed=args.seed or 0)
-        written.append(analysis.write_bins_csv(out_dir / "bins.csv", bins))
+    if samples is not None:
+        written.append(analysis.write_bins_csv(out_dir / "bins.csv",
+                                               _similarity_bins(samples, seed)))
 
     _write_manifest(
         out_dir,
         command="analyze",
         config={},
-        inputs={"run": str(args.run), "dataset": str(dataset_dir)},
+        inputs={"run": str(args.run), "dataset": str(dataset_dir), "renormalize": renormalize},
         outputs=written,
-        seed=args.seed or 0,
+        seed=seed,
     )
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0

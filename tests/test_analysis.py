@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retta.adapter import AdapterConfig, AdaptOutcome, run_stream, run_zero_shot
 from retta.analysis import (
@@ -16,7 +20,7 @@ from retta.analysis import (
     verify_feature_importance,
     write_report_files,
 )
-from retta.datagen import StreamConfig, generate
+from retta.datagen import StreamConfig, generate, reference_stream_config
 from retta.model import AffineParams, Prediction, Sample, TextBank, forward, predict
 
 
@@ -153,6 +157,62 @@ def test_bins_subsampling_is_seeded_and_stable():
     np.testing.assert_array_equal(a, b)
     full = similarity_bins(samples, seed=1)
     assert np.max(np.abs(a - full)) < 0.1
+
+
+def stable_argsort_bins(samples, num_bins=10, max_pairs=1_000_000, seed=0):
+    """Oracle: rank every pair with a stable argsort, then average each split."""
+    n = len(samples)
+    rng = np.random.default_rng(seed)
+    if n * (n - 1) // 2 <= max_pairs:
+        ii, jj = np.triu_indices(n, k=1)
+    else:
+        ii = rng.integers(0, n, size=max_pairs)
+        jj = rng.integers(0, n - 1, size=max_pairs)
+        jj = np.where(jj >= ii, jj + 1, jj)
+    feats = np.stack([s.feature for s in samples])
+    sims = np.einsum("ij,ij->i", feats[ii], feats[jj])
+    code_of = {d: i for i, d in enumerate(sorted({s.domain_id for s in samples}))}
+    dom_codes = np.array([code_of[s.domain_id] for s in samples])
+    same = dom_codes[ii] == dom_codes[jj]
+    order = np.argsort(-sims, kind="stable")
+    chunks = np.array_split(same[order], num_bins)
+    return np.array([float(np.mean(c)) if len(c) else 0.0 for c in chunks])
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_bins_equal_the_stable_argsort_oracle_bitwise(data):
+    n = data.draw(st.integers(2, 60), label="n")
+    D = data.draw(st.integers(2, 4), label="domains")
+    d = data.draw(st.integers(2, 8), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # few distinct rows, so many pairs tie in similarity
+    pool = [unit(rng, d) for _ in range(data.draw(st.integers(1, n), label="pool"))]
+    rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n),
+                     label="rows")
+    doms = [0, 1] + data.draw(st.lists(st.integers(0, D - 1), min_size=n - 2,
+                                       max_size=n - 2), label="doms")
+    samples = [Sample(feature=pool[r], true_label=0, domain_id=f"d{k}")
+               for r, k in zip(rows, doms)]
+    total = n * (n - 1) // 2
+    num_bins = data.draw(st.integers(1, 12), label="num_bins")
+    max_pairs = data.draw(st.integers(0, total + 10), label="max_pairs")
+    seed = data.draw(st.integers(0, 2**16), label="pair_seed")
+    got = similarity_bins(samples, num_bins=num_bins, max_pairs=max_pairs, seed=seed)
+    want = stable_argsort_bins(samples, num_bins=num_bins, max_pairs=max_pairs, seed=seed)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bins_on_the_reference_pairs_stay_within_64_mib_and_match_the_oracle():
+    samples, _ = generate(reference_stream_config(0))  # 4000 samples: 1M sampled pairs
+    tracemalloc.start()
+    try:
+        bins = similarity_bins(samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert bins.tobytes() == stable_argsort_bins(samples, seed=0).tobytes()
 
 
 # ------------------------------------------------- importance verifier

@@ -188,7 +188,7 @@ def test_analyze_recomputes_composition_and_bins(tmp_path, dataset_dir):
     assert (out / "bins.csv").exists()
     # composition recomputed from the trace matches the run's own
     assert (out / "composition.csv").read_bytes() == (run_dir / "composition.csv").read_bytes()
-    # so do the bins: the run and analyze both draw their pairs with seed 0
+    # so do the bins: analyze draws its pairs with the seed the run recorded
     assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
 
 
@@ -291,3 +291,87 @@ def test_analyze_rejects_malformed_trace_rows(tmp_path, dataset_dir, capsys, edi
     code = main(["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")])
     assert code == 1
     assert "line 3" in _single_error_line(capsys.readouterr().err)
+
+
+def test_run_rejects_a_row_without_a_domain(tmp_path, dataset_dir, capsys):
+    _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 5, lambda row: row.pop("domain"))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "sample 4" in _single_error_line(capsys.readouterr().err)
+
+
+def test_analyze_writes_header_only_bins_for_a_single_domain_run(tmp_path):
+    cfg_path = write_stream_config(tmp_path / "stream.json", num_domains=1,
+                                   samples_per_domain=200)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(data), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert (out / "bins.csv").read_text() == "bin,same_domain_ratio\n"
+    assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
+
+
+def test_analyze_reproduces_the_bins_of_a_seeded_run(tmp_path):
+    # 1440 samples make more pairs than similarity_bins keeps, so the seed draws them
+    cfg_path = write_stream_config(tmp_path / "stream.json", samples_per_domain=720)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(data), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir), "--seed", "3"]) == 0
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
+
+
+def test_analyze_loads_the_dataset_as_a_renormalized_run_did(tmp_path, dataset_dir):
+    _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 1,
+                       lambda row: row.update(v=[2.0 * x for x in row["v"]]))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir), "--renormalize"]) == 0
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["given", "recorded"])
+def test_analyze_rejects_a_missing_dataset(tmp_path, dataset_dir, capsys, source):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    argv = ["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")]
+    if source == "given":
+        missing = tmp_path / "nowhere"
+        argv += ["--dataset", str(missing)]
+    else:
+        missing = dataset_dir
+        dataset_dir.rename(tmp_path / "moved")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert str(missing) in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(seed="3"),
+    lambda m: m.update(seed=True),
+    lambda m: m["inputs"].update(renormalize="yes"),
+    lambda m: m.update(inputs=["data"]),
+], ids=["string-seed", "bool-seed", "string-renormalize", "inputs-not-an-object"])
+def test_analyze_rejects_a_malformed_run_manifest(tmp_path, dataset_dir, capsys, edit):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    edit(manifest)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
+    assert "manifest.json" in _single_error_line(capsys.readouterr().err)
