@@ -8,7 +8,8 @@ the persistent model is never mutated, which is exactly what keeps gradients
 cached at the pretrained parameters valid forever.
 
 `process_batch` runs these steps for a whole batch as array operations: one
-posterior pass for the gradients and zero-shot predictions, the inserts, then
+posterior pass for the gradients and zero-shot predictions, one block insert
+of the batch's embeddings, gradients and entropies into memory, then
 `ClassMemory.select` for the queries' supports and the weighting,
 aggregation, step and adapted predict with a leading batch axis, over row
 chunks that keep the (queries, support, dim) temporaries within a fixed byte
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .memory import ClassMemory, MemoryEntry, SupportSet, weigh
+from .memory import ClassMemory, SupportSet, weigh
 from .model import (
     AffineParams,
     GradRecord,
@@ -260,9 +261,9 @@ def process_batch(
     rng: np.random.Generator | None = None,
     recompute_grads: bool = False,
 ) -> list[AdaptOutcome]:
-    """Process one batch: gradients first, then inserts, then adaptation.
+    """Process one batch: gradients first, then one block insert, then adaptation.
 
-    All entries join memory before any sample adapts, so samples within a
+    All rows join memory before any sample adapts, so samples within a
     batch can retrieve one another.  The cached engine adapts the batch as
     array operations, in as few row chunks as `_BLOCK_BYTES` allows;
     `recompute_grads` runs the per-sample reference engine
@@ -274,11 +275,10 @@ def process_batch(
         rng = np.random.default_rng(cfg.seed)
     params0 = AffineParams.pretrained(bank.dim)
     V = stack_features(batch, bank.dim)  # the embeddings too: forward at params0 is the identity
-    evals = batch_grads(V, params0, bank)
-    zero_shot = [pred for pred, _ in evals]
-    for sample, v, (pred, grad) in zip(batch, V, evals):
-        entry = MemoryEntry(z=v, grad=grad, entropy=pred.entropy, domain_id=sample.domain_id)
-        mem.insert(entry, pred.pseudo_label)
+    post = batch_grads(V, params0, bank)
+    mem.insert_block(V, post.d_weight, post.d_bias, post.entropy, post.labels,
+                     [s.domain_id for s in batch])
+    zero_shot = post.predictions()
     if recompute_grads:
         return [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch]
     # float64s per query: the support stacks and distances (4 d + 10 per entry),

@@ -175,7 +175,7 @@ def similarity_bins(
     else:
         ii = rng.integers(0, n, size=max_pairs)
         jj = rng.integers(0, n - 1, size=max_pairs)
-        jj = np.where(jj >= ii, jj + 1, jj)  # j != i, uniform over ordered pairs
+        jj += jj >= ii  # j != i, uniform over ordered pairs
     feats = np.stack([s.feature for s in samples])
     code_of = {d: i for i, d in enumerate(domains)}
     dom_codes = np.array([code_of[s.domain_id] for s in samples])

@@ -8,20 +8,28 @@ model.  Retrieval takes the most similar entries per class queue, which makes
 the returned support set class-balanced by construction whenever the queues
 are warm.
 
-Each queue owns 2 * capacity rows of columns shared by all queues (z,
-d_weight, d_bias, entropy, entry, domain), allocated on the first insert.
-Its live rows are a window [start, start + size), oldest first; an insert
-writes the next row, dropping the oldest when full, and when the window hits
-the end of its rows they move back to its first row, so each row is copied
-O(1) times on average.  Rows stay in arrival order, never rotated as in a
-ring buffer: BLAS gemv can round a row's dot product differently by its place
-in the block, which would give duplicate embeddings unequal similarities and
-break the ties-to-newer order of a scan over the queue oldest first.
+Each queue owns 2 * capacity rows of columns shared by all queues, allocated
+on the first insert: z, d_weight, d_bias, entropy, domain, seq (arrival
+number), label (pseudo-class) and entry.  Its live rows are a window [start,
+start + size), oldest first; an insert writes the next rows, dropping the
+oldest beyond capacity, and when the window hits the end of its rows they move
+back to its first row, so each row is copied O(1) times on average.  Rows stay
+in arrival order, never rotated as in a ring buffer: BLAS gemv can round a
+row's dot product differently by its place in the block, which would give
+duplicate embeddings unequal similarities and break the ties-to-newer order of
+a scan over the queue oldest first.
+
+`insert_block` writes a batch as one block per queue and builds no per-row
+object; `insert` is its one-row form that also keeps the caller's
+`MemoryEntry` in the entry column.  The oracle API (`queues`, `retrieve`,
+`sample_uniform`) builds a row's `MemoryEntry` from the columns on first
+request and keeps it until the row is evicted, so a row's entry keeps its
+identity.
 
 `select` serves a whole batch of queries at once: one gemv per query and
 queue (a matrix product would round by the query's place in the batch), a
-top-k per row, and one gather per column from the shared rows.  `retrieve`
-and `sample_uniform` are its one-query forms.
+top-k per row, and one gather per column the engine reads from the shared
+rows.  `retrieve` and `sample_uniform` are its one-query forms.
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ from .model import GradRecord, UNIT_NORM_TOL
 class MemoryEntry:
     """Embedding + cached gradient + entropy for one past sample.
 
-    `seq` and `pseudo_class` are stamped by `ClassMemory.insert`.  `domain_id`
-    is carried for analysis only and never read on the adaptation path.
+    `seq` and `pseudo_class` are stamped by `ClassMemory.insert`, or set when
+    the memory builds the entry of a block-inserted row.  `domain_id` is
+    carried for analysis only and never read on the adaptation path.
     """
 
     z: np.ndarray
@@ -109,21 +118,30 @@ class _Window:
         """The live rows, oldest first."""
         return slice(self.base + self.start, self.base + self.start + self.size)
 
-    def append(self, cols: dict[str, np.ndarray], row_values: tuple) -> None:
-        """Write one row (a value per column, in column order), dropping the oldest when full."""
-        if self.size == self.capacity:
-            cols["entry"][self.base + self.start] = None
-            self.start, self.size = self.start + 1, self.size - 1
-        row = self.start + self.size
-        if row == 2 * self.capacity:
-            lo = self.base
+    def extend(self, cols: dict[str, np.ndarray], block: dict[str, np.ndarray]) -> None:
+        """Append a block of rows (an array per column), dropping the oldest beyond capacity.
+
+        A block of capacity rows or more keeps only its last capacity rows.
+        Rows outside the window hold no entry: dropped rows release theirs.
+        """
+        r = len(block["seq"])
+        if r > self.capacity:
+            block = {key: values[r - self.capacity:] for key, values in block.items()}
+            r = self.capacity
+        drop = self.size + r - self.capacity
+        if drop > 0:
+            cols["entry"][self.base + self.start : self.base + self.start + drop] = None
+            self.start, self.size = self.start + drop, self.size - drop
+        if self.start + self.size + r > 2 * self.capacity:
+            lo, end = self.base, self.base + self.start + self.size
             for col in cols.values():
-                col[lo : lo + self.size] = col[lo + self.start : lo + row]
-            cols["entry"][lo + self.size : lo + row] = None
-            self.start, row = 0, self.size
-        for col, value in zip(cols.values(), row_values):
-            col[self.base + row] = value
-        self.size += 1
+                col[lo : lo + self.size] = col[lo + self.start : end]
+            cols["entry"][lo + self.size : end] = None
+            self.start = 0
+        row = self.base + self.start + self.size
+        for key, values in block.items():
+            cols[key][row : row + r] = values
+        self.size += r
 
 
 class ClassMemory:
@@ -153,36 +171,90 @@ class ClassMemory:
     @property
     def queues(self) -> list[list[MemoryEntry]]:
         """Each queue's entries, oldest first, as new lists (editing them changes nothing)."""
-        return [self._cols["entry"][w.rows].tolist() if w.size else [] for w in self._windows]
+        return [self.entries(np.arange(w.rows.start, w.rows.stop)) if w.size else []
+                for w in self._windows]
 
     def __len__(self) -> int:
         return sum(w.size for w in self._windows)
 
+    def entries(self, rows: np.ndarray) -> list[MemoryEntry]:
+        """The entries at physical rows (the `rows` of a `select` block).
+
+        A row written by `insert_block` gets its entry built from the columns
+        on first request, kept until the row is evicted.
+        """
+        col = self._cols["entry"]
+        found = col[rows]
+        if np.count_nonzero(found) < len(found):  # entries are truthy; unbuilt rows hold None
+            missing = rows[np.equal(found, None)]
+            row = {key: values[missing] for key, values in self._cols.items()}
+            for i, at in enumerate(missing.tolist()):
+                col[at] = MemoryEntry(row["z"][i], GradRecord(row["d_weight"][i], row["d_bias"][i]),
+                                      float(row["entropy"][i]), seq=int(row["seq"][i]),
+                                      domain_id=row["domain"][i], pseudo_class=int(row["label"][i]))
+            found = col[rows]
+        return found.tolist()
+
     def insert(self, entry: MemoryEntry, pseudo_label: int) -> None:
         """Append an entry to its pseudo-class queue, evicting the oldest if full.
 
-        The pseudo-label must come from the zero-shot classifier at pretrained
-        parameters, since that is the model state the cached values belong to.
+        A one-row `insert_block` that keeps `entry` itself as the row's entry
+        and stamps its `seq` and `pseudo_class`.
         """
-        if not 0 <= pseudo_label < self.num_classes:
-            raise ValueError(
-                f"pseudo_label {pseudo_label} out of range for {self.num_classes} classes"
-            )
+        self.insert_block(entry.z[None], entry.grad.d_weight[None], entry.grad.d_bias[None],
+                          [entry.entropy], [pseudo_label], [entry.domain_id])
+        self._cols["entry"][self._windows[pseudo_label if self.split else 0].rows.stop - 1] = entry
+        entry.seq, entry.pseudo_class = self._next_seq - 1, pseudo_label
+
+    def insert_block(self, z: np.ndarray, d_weight: np.ndarray, d_bias: np.ndarray,
+                     entropy: np.ndarray, pseudo_labels: np.ndarray, domains: list) -> None:
+        """One `insert` per row, in row order, but one block write per queue and no entries.
+
+        The pseudo-labels must come from the zero-shot classifier at pretrained
+        parameters, the model state the cached values belong to.  Only labels
+        and dims are checked, naming the first bad row, and a bad block changes
+        nothing: a `Sample` has checked each feature's norm and
+        `model.posterior` that every logit and gradient row is finite.
+        """
+        labels = np.asarray(pseudo_labels)
+        r = len(labels)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"pseudo-labels must be integers, got dtype {labels.dtype}")
+        # Python min/max: numpy's fixed cost per call exceeds a batch's worth of them
+        label_list = labels.tolist()
+        lo, hi = min(label_list, default=0), max(label_list, default=0)
+        if lo < 0 or hi >= self.num_classes:
+            row, label = next((i, c) for i, c in enumerate(label_list)
+                              if not 0 <= c < self.num_classes)
+            raise ValueError(f"row {row}: pseudo_label {label} out of range "
+                             f"for {self.num_classes} classes")
+        if not len(z) == len(d_weight) == len(d_bias) == len(entropy) == len(domains) == r:
+            raise ValueError("block columns have unequal row counts")
         cols = self._cols
-        d = cols["z"].shape[1] if cols else entry.z.shape[0]
-        if entry.z.shape != (d,) or entry.grad.d_weight.shape != (d,):
-            raise ValueError(f"memory rows have dim {d}, entry has {entry.z.shape[0]}")
-        if not cols:  # columns in the order of the row values below
+        d = cols["z"].shape[1] if cols else z.shape[-1]
+        for name, values in (("z", z), ("d_weight", d_weight), ("d_bias", d_bias)):
+            if values.shape[1:] != (d,):
+                raise ValueError(f"row 0: {name} has dim {values.shape[1:]}, "
+                                 f"memory rows have dim {d}")
+        if not cols:
             n = 2 * self.num_classes * self.capacity_per_class
             cols.update(z=np.empty((n, d)), d_weight=np.empty((n, d)), d_bias=np.empty((n, d)),
                         entropy=np.empty(n), entry=np.empty(n, dtype=object),
-                        domain=np.empty(n, dtype=object))
-        entry.seq = self._next_seq
-        self._next_seq += 1
-        entry.pseudo_class = pseudo_label
-        self._windows[pseudo_label if self.split else 0].append(
-            cols, (entry.z, entry.grad.d_weight, entry.grad.d_bias, entry.entropy, entry,
-                   entry.domain_id))
+                        domain=np.empty(n, dtype=object), seq=np.empty(n, dtype=np.int64),
+                        label=np.empty(n, dtype=np.int64))
+        block = dict(z=z, d_weight=d_weight, d_bias=d_bias, entropy=np.asarray(entropy),
+                     domain=np.array(domains, dtype=object),
+                     seq=np.arange(self._next_seq, self._next_seq + r), label=labels)
+        self._next_seq += r
+        if not self.split or lo == hi:  # one queue: no sort
+            self._windows[lo if self.split else 0].extend(cols, block)
+        else:
+            order = np.argsort(labels, kind="stable")
+            block = {key: values[order] for key, values in block.items()}
+            stops = np.cumsum(np.bincount(labels, minlength=self.num_classes)).tolist()
+            for window, start, stop in zip(self._windows, [0] + stops, stops):
+                if stop > start:
+                    window.extend(cols, {key: values[start:stop] for key, values in block.items()})
 
     def select(self, queries: np.ndarray, k: int,
                rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
@@ -193,8 +265,9 @@ class ClassMemory:
         uniform draw without replacement instead, drawn per query and then per
         queue, and the query values are not read.  The budget is k per queue in
         split mode and C * k in the single unsplit queue.  Returns z, d_weight,
-        d_bias, entropy, entry and domain as (B, m, ...) arrays; every query sees
-        the same memory, so m is the same for all.  An empty memory gives {}.
+        d_bias, entropy and domain as (B, m, ...) arrays, and the (B, m)
+        physical `rows` they came from (for `entries`); every query sees the
+        same memory, so m is the same for all.  An empty memory gives {}.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -211,15 +284,16 @@ class ClassMemory:
                      for _ in range(len(queries))]
             picks = [np.stack([row[j] for row in draws]) for j in range(len(windows))]
         rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
-        return {key: col[rows] for key, col in cols.items()}
+        block = {key: cols[key][rows] for key in ("z", "d_weight", "d_bias", "entropy", "domain")}
+        block["rows"] = rows
+        return block
 
-    @staticmethod
-    def _support(block: dict[str, np.ndarray]) -> SupportSet:
+    def _support(self, block: dict[str, np.ndarray]) -> SupportSet:
         """The SupportSet of the first query of a `select` block."""
         if not block:
             return SupportSet(entries=[])
         stacks = {key: block[key][0] for key in ("z", "entropy", "d_weight", "d_bias")}
-        return SupportSet(entries=block["entry"][0].tolist(), _stacks=stacks)
+        return SupportSet(entries=self.entries(block["rows"][0]), _stacks=stacks)
 
     def retrieve(self, query_z: np.ndarray, k: int) -> SupportSet:
         """Top-k most similar entries from each non-empty queue (weights unset).

@@ -266,8 +266,8 @@ def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> Gr
 
 def batch_grads(
     batch: list[Sample] | np.ndarray, params: AffineParams, bank: TextBank
-) -> list[tuple[Prediction, GradRecord]]:
-    """Prediction and entropy gradient for each sample, order preserved.
+) -> Posterior:
+    """Posterior and entropy gradients (`d_weight`, `d_bias`) of each sample, rows in order.
 
     `batch` is a list of samples or the (B, d) block `stack_features` makes of
     them.  One `posterior` pass over the batch; every element is computed on
@@ -275,11 +275,9 @@ def batch_grads(
     """
     V = batch if isinstance(batch, np.ndarray) else stack_features(batch, params.dim)
     try:
-        post = posterior(forward(V, params), bank, V)
+        return posterior(forward(V, params), bank, V)
     except _BadRow as exc:
         raise ValueError(f"batch element {exc.row}: {exc}") from exc
-    grads = (GradRecord(d_weight=gw, d_bias=gb) for gw, gb in zip(post.d_weight, post.d_bias))
-    return list(zip(post.predictions(), grads))
 
 
 def entropy_at(feature: np.ndarray, params: AffineParams, bank: TextBank) -> float:

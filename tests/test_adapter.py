@@ -333,6 +333,24 @@ def test_batched_engine_matches_per_sample_oracle(data):
             assert gap <= 1e-12 * np.max(np.abs(ref.prediction.logits))
 
 
+def test_cached_engine_builds_no_per_sample_entries_or_grad_records(monkeypatch):
+    """Each batch goes into the memory columns as one block: the cached engine runs
+    no `MemoryEntry` or `GradRecord` check, while the counters do see the oracle's."""
+    samples, bank = small_stream(n=120)
+    cfg = small_engine_cfg()
+    calls = {MemoryEntry: 0, GradRecord: 0}
+    for cls in calls:
+        def counted(self, cls=cls, check=cls.__post_init__):
+            calls[cls] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for variant in ("full", "no-pb", "no-dc", "no-pb-dc", "no-entw", "no-simw"):
+        run_stream(samples, ablation_config(cfg, variant), bank)
+    assert calls == {MemoryEntry: 0, GradRecord: 0}
+    run_stream(samples[:20], cfg, bank, recompute_grads=True)
+    assert calls[MemoryEntry] > 0 and calls[GradRecord] > 0
+
+
 @pytest.mark.parametrize("variant", ["full", "no-pb", "no-dc"])
 def test_row_chunks_leave_results_bitwise_unchanged(monkeypatch, variant):
     """With a byte budget that admits one query per chunk, every `select` call sees
@@ -391,11 +409,8 @@ def test_entropy_baseline_first_step_is_mean_batch_gradient():
     samples, bank = small_stream(n=20)
     cfg = small_engine_cfg(batch_size=20)
     params0 = AffineParams.pretrained(bank.dim)
-    evals = batch_grads(samples, params0, bank)
-    mean_g = GradRecord(
-        np.mean(np.stack([g.d_weight for _, g in evals]), axis=0),
-        np.mean(np.stack([g.d_bias for _, g in evals]), axis=0),
-    )
+    post = batch_grads(samples, params0, bank)
+    mean_g = GradRecord(np.mean(post.d_weight, axis=0), np.mean(post.d_bias, axis=0))
     stepped = signsgd_step(params0, mean_g, cfg.lr)
     expected = [predict(forward(s.feature, stepped), bank) for s in samples]
     outcomes = run_entropy_baseline(samples, cfg, bank)

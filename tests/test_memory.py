@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 import numpy as np
@@ -113,6 +114,122 @@ def test_insert_rejects_dim_mismatch_and_leaves_memory_intact():
 def test_entry_rejects_off_unit_embedding():
     with pytest.raises(ValueError, match="norm"):
         MemoryEntry(z=np.array([1.0, 1.0]), grad=GradRecord(np.zeros(2), np.zeros(2)), entropy=0.5)
+
+
+def block_of(rng, r, d, C, pool=None):
+    """Arguments of `insert_block` for r rows: z from `pool` when given, random gradients."""
+    z = (np.stack([pool[int(i)] for i in rng.integers(len(pool), size=r)]) if pool is not None
+         else np.stack([unit(rng, d) for _ in range(r)]))
+    return (z, rng.standard_normal((r, d)), rng.standard_normal((r, d)),
+            rng.uniform(0.0, 1.2, r), rng.integers(C, size=r),
+            [f"dom{i}" for i in rng.integers(3, size=r)])
+
+
+def as_rows(entries):
+    """Every field of each entry, for bitwise comparison."""
+    return [(e.seq, e.pseudo_class, e.z.tobytes(), e.grad.d_weight.tobytes(),
+             e.grad.d_bias.tobytes(), repr(e.entropy), e.domain_id) for e in entries]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_insert_matches_per_row_inserts(data):
+    """A memory filled by `insert_block` and one filled by one `insert` per row hold
+    the same queues and give the same `select` blocks, top-k and seeded draws.
+
+    Blocks run from 1 row to 3x a queue's capacity, so a block can overfill a
+    queue and windows are compacted mid-block; embeddings come from a small
+    pool so exact similarity ties occur.
+    """
+    C = data.draw(st.integers(1, 4), label="classes")
+    K = data.draw(st.integers(1, 8), label="capacity")
+    split = data.draw(st.booleans(), label="split")
+    d = data.draw(st.integers(1, 5), label="dim")
+    cap = K if split else C * K
+    sizes = data.draw(st.lists(st.integers(1, 3 * cap), min_size=1, max_size=8), label="blocks")
+    k = data.draw(st.integers(1, 2 * K), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    pool = [unit(rng, d) for _ in range(data.draw(st.integers(1, 3 * K), label="pool"))]
+    by_block = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
+    by_row = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
+    for i, r in enumerate(sizes):
+        z, d_weight, d_bias, entropy, labels, domains = block_of(rng, r, d, C, pool)
+        by_block.insert_block(z, d_weight, d_bias, entropy, labels, domains)
+        for j in range(r):
+            by_row.insert(MemoryEntry(z[j], GradRecord(d_weight[j], d_bias[j]), float(entropy[j]),
+                                      domain_id=domains[j]), int(labels[j]))
+        assert [as_rows(q) for q in by_block.queues] == [as_rows(q) for q in by_row.queues]
+        assert len(by_block) == len(by_row)
+
+        queries = np.stack([pool[int(j)] for j in rng.integers(len(pool), size=3)])
+        for draw in (None, i):
+            got, expected = (mem.select(queries, k, None if draw is None
+                                        else np.random.default_rng(draw))
+                             for mem in (by_block, by_row))
+            for key in ("z", "d_weight", "d_bias", "entropy", "domain"):
+                np.testing.assert_array_equal(got[key], expected[key])
+            for q in range(len(queries)):
+                assert ([e.seq for e in by_block.entries(got["rows"][q])]
+                        == [e.seq for e in by_row.entries(expected["rows"][q])])
+
+
+def test_entries_built_on_demand_keep_their_identity():
+    rng = np.random.default_rng(30)
+    mem = ClassMemory(num_classes=3, capacity_per_class=5)
+    mem.insert_block(*block_of(rng, 12, 4, 3))
+    first = mem.queues
+    assert [[id(e) for e in q] for q in mem.queues] == [[id(e) for e in q] for q in first]
+    support = mem.retrieve(unit(rng, 4), k=2)
+    held = {id(e) for q in first for e in q}
+    assert all(id(e) in held for e in support.entries)
+
+
+def test_evicted_row_releases_its_entry_and_a_refilled_row_gets_a_new_one():
+    rng = np.random.default_rng(31)
+    mem = ClassMemory(num_classes=1, capacity_per_class=2)
+    mem.insert_block(*block_of(rng, 2, 4, 1))
+    released = [weakref.ref(e) for e in mem.queues[0]]
+    old_rows = mem.select(unit(rng, 4)[None], k=2)["rows"]
+    mem.insert_block(*block_of(rng, 2, 4, 1))
+    assert [ref() for ref in released] == [None, None]
+    refill = block_of(rng, 2, 4, 1)
+    mem.insert_block(*refill)  # the window is compacted back onto the first rows
+    assert sorted(mem.select(unit(rng, 4)[None], k=2)["rows"][0]) == sorted(old_rows[0])
+    new = mem.queues[0]
+    assert [e.seq for e in new] == [4, 5]
+    np.testing.assert_array_equal(np.stack([e.z for e in new]), refill[0])
+    np.testing.assert_array_equal(np.stack([e.grad.d_bias for e in new]), refill[2])
+
+
+def test_block_insert_rejects_out_of_range_label_and_leaves_memory_intact():
+    rng = np.random.default_rng(32)
+    mem = ClassMemory(num_classes=3, capacity_per_class=4)
+    mem.insert_block(*block_of(rng, 5, 4, 3))
+    before = [as_rows(q) for q in mem.queues]
+    for bad in (3, -1):
+        z, d_weight, d_bias, entropy, labels, domains = block_of(rng, 6, 4, 3)
+        labels[[2, 4]] = bad
+        with pytest.raises(ValueError, match="row 2: pseudo_label .* out of range"):
+            mem.insert_block(z, d_weight, d_bias, entropy, labels, domains)
+    assert [as_rows(q) for q in mem.queues] == before
+    e = entry(rng)
+    mem.insert(e, pseudo_label=0)
+    assert e.seq == 5
+
+
+def test_block_insert_rejects_dim_mismatch_and_leaves_memory_intact():
+    rng = np.random.default_rng(33)
+    mem = ClassMemory(num_classes=2, capacity_per_class=4)
+    mem.insert_block(*block_of(rng, 5, 4, 2))
+    before = [as_rows(q) for q in mem.queues]
+    for column in range(3):  # z, d_weight, d_bias
+        args = list(block_of(rng, 3, 4, 2))
+        args[column] = args[column][:, :3]
+        with pytest.raises(ValueError, match="row 0: .* dim"):
+            mem.insert_block(*args)
+    assert [as_rows(q) for q in mem.queues] == before
+    assert len(mem) == 5
 
 
 # ---------------------------------------------------------------- retrieve
@@ -326,7 +443,7 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
     for i, query in enumerate(queries):
         for got, expected in ((block, mem.retrieve(query, k).entries),
                               (drawn, mem.sample_uniform(k, clone).entries)):
-            assert [id(e) for e in got["entry"][i]] == [id(e) for e in expected]
+            assert [id(e) for e in mem.entries(got["rows"][i])] == [id(e) for e in expected]
             assert got["domain"][i].tolist() == [e.domain_id for e in expected]
             for key, value in (("z", lambda e: e.z), ("entropy", lambda e: e.entropy),
                                ("d_weight", lambda e: e.grad.d_weight),

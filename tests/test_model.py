@@ -216,11 +216,11 @@ def test_batch_of_one_equals_single_sample_path():
     bank = random_bank(rng, 4, 8)
     s = Sample(random_unit(rng, 8))
     params = AffineParams.pretrained(8)
-    [(pred, grad)] = batch_grads([s], params, bank)
+    post = batch_grads([s], params, bank)
     expected_pred = predict(forward(s.feature, params), bank)
     expected_grad = sample_grad(s.feature, params, bank)
-    np.testing.assert_array_equal(pred.logits, expected_pred.logits)
-    np.testing.assert_array_equal(grad.d_weight, expected_grad.d_weight)
+    np.testing.assert_array_equal(post.logits[0], expected_pred.logits)
+    np.testing.assert_array_equal(post.d_weight[0], expected_grad.d_weight)
 
 
 def test_batch_split_and_concatenate_is_identical():
@@ -229,11 +229,10 @@ def test_batch_split_and_concatenate_is_identical():
     batch = [Sample(random_unit(rng, 8)) for _ in range(10)]
     params = AffineParams(rng.uniform(0.8, 1.2, 8), rng.uniform(-0.1, 0.1, 8))
     whole = batch_grads(batch, params, bank)
-    halves = batch_grads(batch[:5], params, bank) + batch_grads(batch[5:], params, bank)
-    for (p1, g1), (p2, g2) in zip(whole, halves):
-        np.testing.assert_array_equal(p1.logits, p2.logits)
-        np.testing.assert_array_equal(g1.d_weight, g2.d_weight)
-        np.testing.assert_array_equal(g1.d_bias, g2.d_bias)
+    halves = [batch_grads(batch[:5], params, bank), batch_grads(batch[5:], params, bank)]
+    for key in ("logits", "d_weight", "d_bias"):
+        np.testing.assert_array_equal(getattr(whole, key),
+                                      np.concatenate([getattr(h, key) for h in halves]))
 
 
 def test_batch_matches_serial_loop_bitwise():
@@ -241,12 +240,13 @@ def test_batch_matches_serial_loop_bitwise():
     bank = random_bank(rng, 10, 32)
     params = AffineParams(rng.uniform(0.8, 1.2, 32), rng.uniform(-0.1, 0.1, 32))
     batch = [Sample(random_unit(rng, 32)) for _ in range(100)]
-    results = batch_grads(batch, params, bank)
-    for s, (pred, grad) in zip(batch, results):
-        np.testing.assert_array_equal(pred.probs, predict(forward(s.feature, params), bank).probs)
+    post = batch_grads(batch, params, bank)
+    for i, s in enumerate(batch):
+        np.testing.assert_array_equal(post.probs[i],
+                                      predict(forward(s.feature, params), bank).probs)
         serial = sample_grad(s.feature, params, bank)
-        np.testing.assert_array_equal(grad.d_weight, serial.d_weight)
-        np.testing.assert_array_equal(grad.d_bias, serial.d_bias)
+        np.testing.assert_array_equal(post.d_weight[i], serial.d_weight)
+        np.testing.assert_array_equal(post.d_bias[i], serial.d_bias)
 
 
 def test_batch_error_names_the_offending_element():

@@ -1,13 +1,16 @@
-"""Source hygiene: every name a retta module imports is used in that module."""
+"""Source hygiene: every name a retta module imports is used in that module, and every
+function the benchmark's tracer wraps is bound where the tracer looks it up."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import retta
+import retta.cli  # noqa: F401  (the tracer wraps retta.cli functions)
 
 MODULES = sorted(p for p in Path(retta.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -33,3 +36,23 @@ def test_unused_imports_finds_an_unread_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def load_tracing():
+    """perfbench/tracing.py of this checkout, loaded from its path (perfbench is not a package
+    on the test path)."""
+    path = Path(retta.__file__).parents[2] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = load_tracing()
+
+
+@pytest.mark.parametrize("point", TRACING.WRAP_POINTS, ids=lambda p: f"{p[0]}.{p[1]}")
+def test_tracer_target_is_bound_where_the_tracer_wraps_it(point):
+    module, path = point[:2]
+    owner, attr = TRACING._owner(retta, module, path)
+    assert attr in vars(owner), f"perfbench traces {module}.{path}, which no longer exists"
