@@ -25,8 +25,6 @@ pretrained-parameter gradients), and the plain zero-shot pass.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +36,7 @@ from .model import (
     Prediction,
     Sample,
     TextBank,
+    _check_field_types,
     batch_grads,
     forward,
     posterior,
@@ -68,19 +67,11 @@ class AdapterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("capacity_per_class", "retrieve_k", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("split_memory", "topk_selection", "entropy_weighting", "similarity_weighting"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
-        for name in ("beta", "lr"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        _check_field_types(
+            self, integers=("capacity_per_class", "retrieve_k", "batch_size", "seed"),
+            booleans=("split_memory", "topk_selection", "entropy_weighting",
+                      "similarity_weighting"),
+            reals=("beta", "lr"))
         if self.capacity_per_class < 1:
             raise ValueError("capacity_per_class must be positive")
         if self.retrieve_k < 1:
@@ -276,8 +267,7 @@ def process_batch(
     params0 = AffineParams.pretrained(bank.dim)
     V = stack_features(batch, bank.dim)  # the embeddings too: forward at params0 is the identity
     post = batch_grads(V, params0, bank)
-    mem.insert_block(V, post.d_weight, post.d_bias, post.entropy, post.labels,
-                     [s.domain_id for s in batch])
+    mem.insert_block(V, post.d_bias, post.entropy, post.labels, [s.domain_id for s in batch])
     zero_shot = post.predictions()
     if recompute_grads:
         return [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch]

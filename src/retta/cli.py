@@ -95,9 +95,9 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args.config, datagen.StreamConfig, "stream")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    samples, bank = datagen.generate(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples, bank = datagen.generate(cfg)
     dataset_path = out_dir / "dataset.jsonl"
     datagen.save_jsonl(samples, dataset_path)
     meta_path = out_dir / "metadata.json"
@@ -124,10 +124,13 @@ def _load_dataset(dataset_dir: str, renormalize: bool):
         raise ValidationError(f"dataset not found: {dataset_path}")
     if not bank_path.exists():
         raise ValidationError(f"text bank not found: {bank_path}")
-    bank = model.load_text_bank(bank_path, renormalize=renormalize)
     try:
-        samples, _ = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
-                                        renormalize=renormalize, num_classes=bank.num_classes)
+        bank = model.load_text_bank(bank_path, renormalize=renormalize)
+    except ValueError as exc:
+        raise ValidationError(f"{bank_path}: {exc}") from exc
+    try:
+        samples = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
+                                     renormalize=renormalize, num_classes=bank.num_classes)
     except ValueError as exc:
         raise ValidationError(f"{dataset_path}: {exc}") from exc
     if not samples:

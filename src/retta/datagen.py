@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Sample, TextBank, _ensure_unit
+from .model import Sample, TextBank, _check_field_types, _ensure_unit
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,16 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(
+            self,
+            integers=("num_classes", "num_domains", "dim", "samples_per_domain",
+                      "clusters_per_class", "seed",
+                      *(name for name in ("class_dims", "domain_dims")
+                        if getattr(self, name) is not None)),
+            reals=("signal_scale", "text_scale", "text_anchor_spread", "cluster_sigma",
+                   "within_sigma", "shift_scale", "damp_fraction", "damp_strength",
+                   "class_skew", "blank_fraction", "blank_evidence", "blank_context",
+                   "domain_heterogeneity", "outlier_fraction", "outlier_scale", "log_temp"))
         if self.num_classes < 2:
             raise ValueError("num_classes: need at least 2 classes")
         if self.num_domains < 1:
@@ -333,18 +343,15 @@ def load_jsonl(
     expected_dim: int | None = None,
     renormalize: bool = False,
     num_classes: int | None = None,
-) -> tuple[list[Sample], dict]:
-    """Load a stream from JSONL, returning (samples, metadata).
+) -> list[Sample]:
+    """Load a stream from JSONL, one sample per non-blank line.
 
     Vectors off unit norm by more than 1e-6 are rejected unless `renormalize`
     is set.  A label must be a JSON integer, in [0, num_classes) when
     `num_classes` is given.  A domain, when present, must be a JSON string.
     Parse, shape, label and domain failures report the 1-based line number.
-    Metadata summarizes dimension, labels, and domains actually seen.
     """
     samples: list[Sample] = []
-    domains: set[str] = set()
-    labels: set[int] = set()
     dim = expected_dim
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -378,25 +385,10 @@ def load_jsonl(
                 raise ValueError(f"line {lineno}: domain must be a string, got {domain!r}")
             try:
                 v = _ensure_unit(v, "v", accept_tol=1e-6, renormalize=renormalize)
-                sample = Sample(
-                    feature=v,
-                    true_label=label,
-                    domain_id=domain,
-                )
+                samples.append(Sample(feature=v, true_label=label, domain_id=domain))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-            samples.append(sample)
-            if sample.domain_id is not None:
-                domains.add(sample.domain_id)
-            if sample.true_label is not None:
-                labels.add(sample.true_label)
-    meta = {
-        "d": dim,
-        "num_samples": len(samples),
-        "domains": sorted(domains),
-        "labels": sorted(labels),
-    }
-    return samples, meta
+    return samples
 
 
 def save_metadata(cfg: StreamConfig, bank: TextBank, path: str | Path) -> None:

@@ -9,7 +9,7 @@ the returned support set class-balanced by construction whenever the queues
 are warm.
 
 Each queue owns 2 * capacity rows of columns shared by all queues, allocated
-on the first insert: z, d_weight, d_bias, entropy, domain, seq (arrival
+on the first insert: z, d_bias (dH/dz), entropy, domain, seq (arrival
 number), label (pseudo-class) and entry.  Its live rows are a window [start,
 start + size), oldest first; an insert writes the next rows, dropping the
 oldest beyond capacity, and when the window hits the end of its rows they move
@@ -18,6 +18,10 @@ in arrival order, never rotated as in a ring buffer: BLAS gemv can round a
 row's dot product differently by its place in the block, which would give
 duplicate embeddings unequal similarities and break the ties-to-newer order of
 a scan over the queue oldest first.
+
+The weight gradient has no column: for the affine head dH/dweight = dH/dz * v,
+and at the pretrained parameters the stored z is v, so every read forms it as
+d_bias * z, the same IEEE multiply as the gradient pass, bitwise.
 
 `insert_block` writes a batch as one block per queue and builds no per-row
 object; `insert` is its one-row form that also keeps the caller's
@@ -45,9 +49,12 @@ from .model import GradRecord, UNIT_NORM_TOL
 class MemoryEntry:
     """Embedding + cached gradient + entropy for one past sample.
 
-    `seq` and `pseudo_class` are stamped by `ClassMemory.insert`, or set when
-    the memory builds the entry of a block-inserted row.  `domain_id` is
-    carried for analysis only and never read on the adaptation path.
+    The gradient was taken at the pretrained parameters, where the embedding z
+    is the feature v, so `grad.d_weight` is `grad.d_bias * z` (dH/dz * z);
+    `ClassMemory.insert` rejects an entry that breaks this.  `seq` and
+    `pseudo_class` are stamped by `ClassMemory.insert`, or set when the memory
+    builds the entry of a block-inserted row.  `domain_id` is carried for
+    analysis only and never read on the adaptation path.
     """
 
     z: np.ndarray
@@ -188,8 +195,9 @@ class ClassMemory:
         if np.count_nonzero(found) < len(found):  # entries are truthy; unbuilt rows hold None
             missing = rows[np.equal(found, None)]
             row = {key: values[missing] for key, values in self._cols.items()}
+            d_weight = row["d_bias"] * row["z"]
             for i, at in enumerate(missing.tolist()):
-                col[at] = MemoryEntry(row["z"][i], GradRecord(row["d_weight"][i], row["d_bias"][i]),
+                col[at] = MemoryEntry(row["z"][i], GradRecord(d_weight[i], row["d_bias"][i]),
                                       float(row["entropy"][i]), seq=int(row["seq"][i]),
                                       domain_id=row["domain"][i], pseudo_class=int(row["label"][i]))
             found = col[rows]
@@ -199,15 +207,19 @@ class ClassMemory:
         """Append an entry to its pseudo-class queue, evicting the oldest if full.
 
         A one-row `insert_block` that keeps `entry` itself as the row's entry
-        and stamps its `seq` and `pseudo_class`.
+        and stamps its `seq` and `pseudo_class`.  An entry whose `d_weight` is
+        not `d_bias * z` changes nothing and raises.
         """
-        self.insert_block(entry.z[None], entry.grad.d_weight[None], entry.grad.d_bias[None],
-                          [entry.entropy], [pseudo_label], [entry.domain_id])
+        z, grad = entry.z[None], entry.grad
+        self._check_dims(z, grad.d_bias[None])
+        if not np.array_equal(grad.d_weight, grad.d_bias * entry.z):
+            raise ValueError("memory entry d_weight is not d_bias * z (dH/dz * z)")
+        self.insert_block(z, grad.d_bias[None], [entry.entropy], [pseudo_label], [entry.domain_id])
         self._cols["entry"][self._windows[pseudo_label if self.split else 0].rows.stop - 1] = entry
         entry.seq, entry.pseudo_class = self._next_seq - 1, pseudo_label
 
-    def insert_block(self, z: np.ndarray, d_weight: np.ndarray, d_bias: np.ndarray,
-                     entropy: np.ndarray, pseudo_labels: np.ndarray, domains: list) -> None:
+    def insert_block(self, z: np.ndarray, d_bias: np.ndarray, entropy: np.ndarray,
+                     pseudo_labels: np.ndarray, domains: list) -> None:
         """One `insert` per row, in row order, but one block write per queue and no entries.
 
         The pseudo-labels must come from the zero-shot classifier at pretrained
@@ -228,21 +240,16 @@ class ClassMemory:
                               if not 0 <= c < self.num_classes)
             raise ValueError(f"row {row}: pseudo_label {label} out of range "
                              f"for {self.num_classes} classes")
-        if not len(z) == len(d_weight) == len(d_bias) == len(entropy) == len(domains) == r:
+        if not len(z) == len(d_bias) == len(entropy) == len(domains) == r:
             raise ValueError("block columns have unequal row counts")
+        d = self._check_dims(z, d_bias)
         cols = self._cols
-        d = cols["z"].shape[1] if cols else z.shape[-1]
-        for name, values in (("z", z), ("d_weight", d_weight), ("d_bias", d_bias)):
-            if values.shape[1:] != (d,):
-                raise ValueError(f"row 0: {name} has dim {values.shape[1:]}, "
-                                 f"memory rows have dim {d}")
         if not cols:
             n = 2 * self.num_classes * self.capacity_per_class
-            cols.update(z=np.empty((n, d)), d_weight=np.empty((n, d)), d_bias=np.empty((n, d)),
-                        entropy=np.empty(n), entry=np.empty(n, dtype=object),
-                        domain=np.empty(n, dtype=object), seq=np.empty(n, dtype=np.int64),
-                        label=np.empty(n, dtype=np.int64))
-        block = dict(z=z, d_weight=d_weight, d_bias=d_bias, entropy=np.asarray(entropy),
+            cols.update(z=np.empty((n, d)), d_bias=np.empty((n, d)), entropy=np.empty(n),
+                        entry=np.empty(n, dtype=object), domain=np.empty(n, dtype=object),
+                        seq=np.empty(n, dtype=np.int64), label=np.empty(n, dtype=np.int64))
+        block = dict(z=z, d_bias=d_bias, entropy=np.asarray(entropy),
                      domain=np.array(domains, dtype=object),
                      seq=np.arange(self._next_seq, self._next_seq + r), label=labels)
         self._next_seq += r
@@ -256,6 +263,16 @@ class ClassMemory:
                 if stop > start:
                     window.extend(cols, {key: values[start:stop] for key, values in block.items()})
 
+    def _check_dims(self, z: np.ndarray, d_bias: np.ndarray) -> int:
+        """The row dim d of the memory (of `z` while it is empty); raises unless both
+        blocks have rows of dim d."""
+        d = self._cols["z"].shape[1] if self._cols else z.shape[-1]
+        for name, values in (("z", z), ("d_bias", d_bias)):
+            if values.shape[1:] != (d,):
+                raise ValueError(f"row 0: {name} has dim {values.shape[1:]}, "
+                                 f"memory rows have dim {d}")
+        return d
+
     def select(self, queries: np.ndarray, k: int,
                rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
         """The support of each row of a (B, d) query block, stacked per column.
@@ -264,10 +281,11 @@ class ClassMemory:
         product with the query, ties to the more recent entry; with `rng`, a
         uniform draw without replacement instead, drawn per query and then per
         queue, and the query values are not read.  The budget is k per queue in
-        split mode and C * k in the single unsplit queue.  Returns z, d_weight,
-        d_bias, entropy and domain as (B, m, ...) arrays, and the (B, m)
-        physical `rows` they came from (for `entries`); every query sees the
-        same memory, so m is the same for all.  An empty memory gives {}.
+        split mode and C * k in the single unsplit queue.  Returns z, d_weight
+        (formed as d_bias * z), d_bias, entropy and domain as (B, m, ...)
+        arrays, and the (B, m) physical `rows` they came from (for `entries`);
+        every query sees the same memory, so m is the same for all.  An empty
+        memory gives {}.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -284,7 +302,8 @@ class ClassMemory:
                      for _ in range(len(queries))]
             picks = [np.stack([row[j] for row in draws]) for j in range(len(windows))]
         rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
-        block = {key: cols[key][rows] for key in ("z", "d_weight", "d_bias", "entropy", "domain")}
+        block = {key: cols[key][rows] for key in ("z", "d_bias", "entropy", "domain")}
+        block["d_weight"] = block["d_bias"] * block["z"]
         block["rows"] = rows
         return block
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,6 +27,27 @@ def _as_f64(x, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_field_types(obj, integers=(), booleans=(), reals=()) -> None:
+    """Raise ValueError naming the first listed field of `obj` of the wrong type.
+
+    `integers` must be integers and `booleans` true or false; `reals` must be
+    finite numbers.  A bool is neither an integer nor a number here.
+    """
+    for name in integers:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name in booleans:
+        value = getattr(obj, name)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+    for name in reals:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _ensure_unit(v: np.ndarray, name: str, accept_tol: float, renormalize: bool) -> np.ndarray:
@@ -62,6 +84,10 @@ class TextBank:
     class_names: list[str]
 
     def __post_init__(self):
+        _check_field_types(self, reals=("log_temp",))
+        if not (isinstance(self.class_names, list)
+                and all(isinstance(name, str) for name in self.class_names)):
+            raise ValueError(f"class_names must be a list of strings, got {self.class_names!r}")
         emb = _as_f64(self.embeddings, "embeddings")
         if emb.ndim != 2:
             raise ValueError("embeddings must be a 2-D array of shape (C, d)")
@@ -73,9 +99,8 @@ class TextBank:
         norms = np.linalg.norm(emb, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
             raise ValueError("every text embedding row must have unit L2 norm (tol 1e-9)")
-        if not math.isfinite(self.log_temp):
-            raise ValueError("log_temp must be finite")
         object.__setattr__(self, "embeddings", emb)
+        object.__setattr__(self, "log_temp", float(self.log_temp))
 
     @property
     def num_classes(self) -> int:
@@ -327,18 +352,23 @@ def load_text_bank(path: str | Path, renormalize: bool = False) -> TextBank:
     """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("text bank file must hold a JSON object")
     for key in ("log_temp", "class_names", "embeddings"):
         if key not in data:
             raise ValueError(f"text bank file missing field '{key}'")
-    rows = [np.asarray(row, dtype=np.float64) for row in data["embeddings"]]
+    try:
+        rows = [np.asarray(row, dtype=np.float64) for row in data["embeddings"]]
+    except (TypeError, ValueError):
+        raise ValueError("embeddings must be a list of numeric rows")
     if not rows:
         raise ValueError("text bank has no embedding rows")
     fixed = [_ensure_unit(row, f"embedding row {i}", accept_tol=1e-6, renormalize=renormalize)
              for i, row in enumerate(rows)]
     return TextBank(
         embeddings=np.stack(fixed),
-        log_temp=float(data["log_temp"]),
-        class_names=list(data["class_names"]),
+        log_temp=data["log_temp"],
+        class_names=data["class_names"],
     )
 
 

@@ -333,6 +333,34 @@ def test_batched_engine_matches_per_sample_oracle(data):
             assert gap <= 1e-12 * np.max(np.abs(ref.prediction.logits))
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_selected_gradients_are_bitwise_the_gradient_pass_of_their_sample(data):
+    """After each `process_batch` of a random partition, every `select` row's d_weight
+    and d_bias are bitwise the `batch_grads` row of the sample with that row's seq.
+
+    Small queues and a long stream force evictions and window compaction.
+    """
+    samples, bank = small_stream(seed=data.draw(st.integers(0, 3), label="stream"), n=90)
+    cfg = small_engine_cfg(capacity_per_class=data.draw(st.integers(1, 6), label="capacity"),
+                           batch_size=40, split_memory=data.draw(st.booleans(), label="split"))
+    k = data.draw(st.integers(1, 8), label="k")
+    grads = batch_grads(samples, AffineParams.pretrained(bank.dim), bank)
+    mem = ClassMemory(bank.num_classes, cfg.capacity_per_class, split=cfg.split_memory)
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
+    start = 0
+    while start < len(samples):
+        batch = samples[start : start + data.draw(st.integers(1, cfg.batch_size), label="size")]
+        start += len(batch)
+        process_batch(batch, mem, cfg, bank, rng=rng)
+        queries = np.stack([s.feature for s in batch])
+        for block in (mem.select(queries, k), mem.select(queries, k, rng)):
+            for q in range(len(queries)):
+                seqs = [e.seq for e in mem.entries(block["rows"][q])]
+                assert block["d_weight"][q].tobytes() == grads.d_weight[seqs].tobytes()
+                assert block["d_bias"][q].tobytes() == grads.d_bias[seqs].tobytes()
+
+
 def test_cached_engine_builds_no_per_sample_entries_or_grad_records(monkeypatch):
     """Each batch goes into the memory columns as one block: the cached engine runs
     no `MemoryEntry` or `GradRecord` check, while the counters do see the oracle's."""

@@ -375,3 +375,37 @@ def test_analyze_rejects_a_malformed_run_manifest(tmp_path, dataset_dir, capsys,
     capsys.readouterr()
     assert main(["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
     assert "manifest.json" in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 8.5),
+    ("num_classes", 3.0),
+    ("samples_per_domain", 2.5),
+    ("seed", 1.5),
+    ("log_temp", "x"),
+])
+def test_gen_rejects_badly_typed_fields_and_writes_nothing(tmp_path, capsys, field, value):
+    cfg_path = write_stream_config(tmp_path / "bad.json", **{field: value})
+    out = tmp_path / "x"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith("error: stream config: ") and field in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("log_temp", None),
+    ("log_temp", True),
+    ("class_names", 3),
+    ("embeddings", 5),
+])
+def test_run_rejects_a_malformed_text_bank_field(tmp_path, dataset_dir, capsys, field, value):
+    path = dataset_dir / "textbank.json"
+    bank = json.loads(path.read_text())
+    bank[field] = value
+    path.write_text(json.dumps(bank))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert field in _single_error_line(capsys.readouterr().err)

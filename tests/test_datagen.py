@@ -156,9 +156,9 @@ def test_round_trip_is_exact(tmp_path):
     samples, _ = generate(tiny_cfg())
     path = tmp_path / "stream.jsonl"
     save_jsonl(samples, path)
-    loaded, meta = load_jsonl(path)
-    assert meta["num_samples"] == len(samples)
-    assert meta["d"] == 10
+    loaded = load_jsonl(path)
+    assert len(loaded) == len(samples)
+    assert all(s.feature.shape == (10,) for s in loaded)
     for a, b in zip(samples, loaded):
         np.testing.assert_array_equal(a.feature, b.feature)
         assert a.true_label == b.true_label and a.domain_id == b.domain_id
@@ -167,8 +167,7 @@ def test_round_trip_is_exact(tmp_path):
 def test_empty_file_loads_as_empty_stream(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    samples, meta = load_jsonl(path)
-    assert samples == [] and meta["num_samples"] == 0
+    assert load_jsonl(path) == []
 
 
 def test_malformed_line_error_names_the_line(tmp_path):
@@ -185,7 +184,7 @@ def test_loader_rejects_off_unit_vectors_without_flag(tmp_path):
     path.write_text(json.dumps({"v": [1.0, 0.01], "label": 0, "domain": "a"}) + "\n")
     with pytest.raises(ValueError, match="line 1"):
         load_jsonl(path)
-    samples, _ = load_jsonl(path, renormalize=True)
+    samples = load_jsonl(path, renormalize=True)
     assert abs(np.linalg.norm(samples[0].feature) - 1.0) < 1e-12
 
 
@@ -205,6 +204,6 @@ def test_loader_rejects_dim_mismatch(tmp_path):
 def test_loader_accepts_unlabeled_rows(tmp_path):
     path = tmp_path / "unlabeled.jsonl"
     path.write_text(json.dumps({"v": [1.0, 0.0]}) + "\n")
-    samples, meta = load_jsonl(path)
+    samples = load_jsonl(path)
     assert samples[0].true_label is None and samples[0].domain_id is None
-    assert meta["labels"] == [] and meta["domains"] == []
+    assert len(samples) == 1 and samples[0].feature.shape == (2,)

@@ -20,10 +20,17 @@ def unit(rng, d):
     return v / np.linalg.norm(v)
 
 
+def grad_at(rng, z):
+    """A random dH/dz for embedding z, with d_weight = dH/dz * z as the memory requires."""
+    dH_dz = rng.standard_normal(len(z))
+    return GradRecord(dH_dz * z, dH_dz)
+
+
 def entry(rng, d=4, entropy=None, domain=None):
+    z = unit(rng, d)
     return MemoryEntry(
-        z=unit(rng, d),
-        grad=GradRecord(rng.standard_normal(d), rng.standard_normal(d)),
+        z=z,
+        grad=grad_at(rng, z),
         entropy=float(rng.uniform(0.0, 1.2)) if entropy is None else entropy,
         domain_id=domain,
     )
@@ -104,11 +111,32 @@ def test_insert_rejects_dim_mismatch_and_leaves_memory_intact():
     held = [entry(rng), entry(rng)]
     for e in held:
         mem.insert(e, pseudo_label=0)
-    wrong = MemoryEntry(z=unit(rng, 4), grad=GradRecord(np.zeros(3), np.zeros(3)), entropy=0.1)
+    z = unit(rng, 4)
+    wrong = MemoryEntry(z=z, grad=grad_at(rng, z[:3]), entropy=0.1)
     for bad in (entry(rng, d=3), wrong):
         with pytest.raises(ValueError, match="dim"):
             mem.insert(bad, pseudo_label=0)
     assert [id(e) for e in mem.queues[0]] == [id(e) for e in held]
+
+
+def test_insert_rejects_a_d_weight_that_is_not_d_bias_times_z_and_leaves_memory_intact():
+    rng = np.random.default_rng(34)
+    mem = ClassMemory(num_classes=2, capacity_per_class=2)
+    for c in (0, 1):
+        mem.insert(entry(rng), pseudo_label=c)
+    before = [as_rows(q) for q in mem.queues]
+    z, d_bias = unit(rng, 4), rng.standard_normal(4)
+    off_by_one_ulp = d_bias * z
+    off_by_one_ulp[2] = np.nextafter(off_by_one_ulp[2], np.inf)
+    for d_weight in (rng.standard_normal(4), off_by_one_ulp):
+        bad = MemoryEntry(z=z, grad=GradRecord(d_weight, d_bias), entropy=0.1)
+        with pytest.raises(ValueError, match="d_weight"):
+            mem.insert(bad, pseudo_label=0)
+        assert bad.seq == -1
+    assert [as_rows(q) for q in mem.queues] == before
+    e = entry(rng)
+    mem.insert(e, pseudo_label=0)
+    assert e.seq == 2
 
 
 def test_entry_rejects_off_unit_embedding():
@@ -117,11 +145,10 @@ def test_entry_rejects_off_unit_embedding():
 
 
 def block_of(rng, r, d, C, pool=None):
-    """Arguments of `insert_block` for r rows: z from `pool` when given, random gradients."""
+    """Arguments of `insert_block` for r rows: z from `pool` when given, random dH/dz."""
     z = (np.stack([pool[int(i)] for i in rng.integers(len(pool), size=r)]) if pool is not None
          else np.stack([unit(rng, d) for _ in range(r)]))
-    return (z, rng.standard_normal((r, d)), rng.standard_normal((r, d)),
-            rng.uniform(0.0, 1.2, r), rng.integers(C, size=r),
+    return (z, rng.standard_normal((r, d)), rng.uniform(0.0, 1.2, r), rng.integers(C, size=r),
             [f"dom{i}" for i in rng.integers(3, size=r)])
 
 
@@ -154,11 +181,11 @@ def test_block_insert_matches_per_row_inserts(data):
     by_block = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
     by_row = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
     for i, r in enumerate(sizes):
-        z, d_weight, d_bias, entropy, labels, domains = block_of(rng, r, d, C, pool)
-        by_block.insert_block(z, d_weight, d_bias, entropy, labels, domains)
+        z, d_bias, entropy, labels, domains = block_of(rng, r, d, C, pool)
+        by_block.insert_block(z, d_bias, entropy, labels, domains)
         for j in range(r):
-            by_row.insert(MemoryEntry(z[j], GradRecord(d_weight[j], d_bias[j]), float(entropy[j]),
-                                      domain_id=domains[j]), int(labels[j]))
+            by_row.insert(MemoryEntry(z[j], GradRecord(d_bias[j] * z[j], d_bias[j]),
+                                      float(entropy[j]), domain_id=domains[j]), int(labels[j]))
         assert [as_rows(q) for q in by_block.queues] == [as_rows(q) for q in by_row.queues]
         assert len(by_block) == len(by_row)
 
@@ -199,7 +226,7 @@ def test_evicted_row_releases_its_entry_and_a_refilled_row_gets_a_new_one():
     new = mem.queues[0]
     assert [e.seq for e in new] == [4, 5]
     np.testing.assert_array_equal(np.stack([e.z for e in new]), refill[0])
-    np.testing.assert_array_equal(np.stack([e.grad.d_bias for e in new]), refill[2])
+    np.testing.assert_array_equal(np.stack([e.grad.d_bias for e in new]), refill[1])
 
 
 def test_block_insert_rejects_out_of_range_label_and_leaves_memory_intact():
@@ -208,10 +235,10 @@ def test_block_insert_rejects_out_of_range_label_and_leaves_memory_intact():
     mem.insert_block(*block_of(rng, 5, 4, 3))
     before = [as_rows(q) for q in mem.queues]
     for bad in (3, -1):
-        z, d_weight, d_bias, entropy, labels, domains = block_of(rng, 6, 4, 3)
+        z, d_bias, entropy, labels, domains = block_of(rng, 6, 4, 3)
         labels[[2, 4]] = bad
         with pytest.raises(ValueError, match="row 2: pseudo_label .* out of range"):
-            mem.insert_block(z, d_weight, d_bias, entropy, labels, domains)
+            mem.insert_block(z, d_bias, entropy, labels, domains)
     assert [as_rows(q) for q in mem.queues] == before
     e = entry(rng)
     mem.insert(e, pseudo_label=0)
@@ -223,7 +250,7 @@ def test_block_insert_rejects_dim_mismatch_and_leaves_memory_intact():
     mem = ClassMemory(num_classes=2, capacity_per_class=4)
     mem.insert_block(*block_of(rng, 5, 4, 2))
     before = [as_rows(q) for q in mem.queues]
-    for column in range(3):  # z, d_weight, d_bias
+    for column in range(2):  # z, d_bias
         args = list(block_of(rng, 3, 4, 2))
         args[column] = args[column][:, :3]
         with pytest.raises(ValueError, match="row 0: .* dim"):
@@ -379,7 +406,7 @@ def test_window_matches_deque_replay_oracle(data):
     mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
     oracle = [deque(maxlen=K if split else C * K) for _ in range(C if split else 1)]
     for i, (label, zi, qi, k) in enumerate(steps):
-        e = MemoryEntry(z=pool[zi], grad=GradRecord(rng.standard_normal(d), rng.standard_normal(d)),
+        e = MemoryEntry(z=pool[zi], grad=grad_at(rng, pool[zi]),
                         entropy=float(rng.uniform(0.0, 1.2)))
         mem.insert(e, pseudo_label=label)
         oracle[label if split else 0].append(e)
@@ -430,9 +457,9 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
     pool = [unit(rng, d) for _ in range(data.draw(st.integers(1, 3 * K), label="pool"))]
     mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
     for _ in range(data.draw(st.integers(1, 4 * C * K), label="inserts")):
-        e = MemoryEntry(z=pool[int(rng.integers(len(pool)))],
-                        grad=GradRecord(rng.standard_normal(d), rng.standard_normal(d)),
-                        entropy=float(rng.uniform(0.0, 1.2)), domain_id=f"dom{rng.integers(3)}")
+        z = pool[int(rng.integers(len(pool)))]
+        e = MemoryEntry(z=z, grad=grad_at(rng, z), entropy=float(rng.uniform(0.0, 1.2)),
+                        domain_id=f"dom{rng.integers(3)}")
         mem.insert(e, pseudo_label=int(rng.integers(C)))
     queries = np.stack([pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else unit(rng, d)
                         for _ in range(B)])
