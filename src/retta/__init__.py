@@ -31,7 +31,6 @@ from .analysis import (
     verify_feature_importance,
 )
 from .datagen import (
-    DomainSpec,
     StreamConfig,
     generate,
     load_jsonl,
@@ -61,7 +60,6 @@ __all__ = [
     "AdapterConfig",
     "AffineParams",
     "ClassMemory",
-    "DomainSpec",
     "EvalReport",
     "GradRecord",
     "ImportanceCheck",

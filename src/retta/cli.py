@@ -227,16 +227,20 @@ def cmd_analyze(args) -> int:
 
     # default to the dataset, seed and --renormalize that the run recorded
     manifest_path = run_dir / "manifest.json"
-    recorded = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    try:
+        recorded = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{manifest_path}: invalid JSON ({exc.msg})")
     inputs = recorded.get("inputs", {}) if isinstance(recorded, dict) else None
     if not isinstance(inputs, dict):
         raise ValidationError(f"{manifest_path}: expected a JSON object with an 'inputs' object")
     dataset_dir = args.dataset if args.dataset is not None else inputs.get("dataset")
     seed = args.seed if args.seed is not None else recorded.get("seed", 0)
     renormalize = inputs.get("renormalize", False)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not isinstance(renormalize, bool):
-        raise ValidationError(f"{manifest_path}: 'seed' must be an integer and "
-                              "'inputs.renormalize' a boolean")
+    if (isinstance(seed, bool) or not isinstance(seed, int) or not isinstance(renormalize, bool)
+            or not isinstance(dataset_dir, (str, type(None)))):
+        raise ValidationError(f"{manifest_path}: 'seed' must be an integer, "
+                              "'inputs.renormalize' a boolean and 'inputs.dataset' a string")
     samples = None
     if dataset_dir is not None:
         samples, _ = _load_dataset(dataset_dir, renormalize=renormalize)
@@ -380,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,10 @@ direction into the following `domain_dims` coordinates (so domains form
 retrievable clusters).  Noise is an isotropic scale mixture: a small fraction
 of samples draw a much larger noise radius, giving the stream genuinely
 unreliable entries.
+
+The difficulty is fixed: the constants below were calibrated once, and the
+repository's trend tests are frozen against them.  A `StreamConfig` sets only
+the shape of the stream.
 """
 
 from __future__ import annotations
@@ -22,48 +26,45 @@ import numpy as np
 
 from .model import Sample, TextBank, _check_field_types, _ensure_unit
 
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """One synthetic domain: marker direction, its scale, noise level, and the
-    damping mask applied to the class block."""
-
-    domain_id: str
-    shift_vector: np.ndarray
-    shift_scale: float
-    noise_sigma: float
-    damp_mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        vec = np.asarray(self.shift_vector, dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("shift_vector must be finite")
-        if self.shift_scale < 0:
-            raise ValueError("shift_scale must be non-negative")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be positive")
-        object.__setattr__(self, "shift_vector", vec)
-        if self.damp_mask is not None:
-            mask = np.asarray(self.damp_mask, dtype=np.float64)
-            if not np.all(np.isfinite(mask)) or np.any(mask < 0):
-                raise ValueError("damp_mask must be finite and non-negative")
-            object.__setattr__(self, "damp_mask", mask)
+# Embeddings sit in a narrow cone around a shared anchor direction (as encoder
+# embeddings do): sample = normalize(anchor + _SIGNAL_SCALE * signal), so
+# _SIGNAL_SCALE sets the pairwise-distance scale of the stream.  Text
+# embeddings sit in their own cone: normalize(align * anchor + _TEXT_SCALE *
+# prototype), with align spread by _TEXT_ANCHOR_SPREAD across the classes.
+_SIGNAL_SCALE = 0.10
+_TEXT_SCALE = 0.75
+_TEXT_ANCHOR_SPREAD = 0.10
+# recurring per-class context offsets, and the per-sample noise radius
+_CLUSTER_SIGMA = 0.25
+_WITHIN_SIGMA = 0.20
+_CLUSTERS_PER_CLASS = 12
+# domain marker length; share of class coordinates each domain damps, and to what
+_SHIFT_SCALE = 1.3
+_DAMP_FRACTION = 0.5
+_DAMP_STRENGTH = 0.15
+# < 1 makes label distributions differ per domain
+_CLASS_SKEW = 0.45
+# unreliable "blank" captures: their share, class evidence and context attachment
+_BLANK_FRACTION = 0.20
+_BLANK_EVIDENCE = 0.15
+_BLANK_CONTEXT = 0.6
+# how far benign and hostile domains sit from the mean severity
+_DOMAIN_HETEROGENEITY = 0.6
+# a share of samples draws this multiple of the per-sample noise radius
+_OUTLIER_FRACTION = 0.1
+_OUTLIER_SCALE = 2.0
+_LOG_TEMP = math.log(100.0)
 
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Shape and difficulty of a generated stream.
+    """Shape of a generated stream: classes, domains, dimension, length, order, seed.
 
-    Embeddings live in a narrow cone around a shared anchor direction (as
-    encoder embeddings do): sample = normalize(anchor + signal_scale * s),
-    where the signal s combines a class prototype (first `class_dims`
+    The signal of a sample combines a class prototype (first `class_dims`
     coordinates, damped per domain), a domain marker (next `domain_dims`
-    coordinates), a recurring cluster offset, and per-sample noise.
-    `signal_scale` therefore sets the pairwise-distance scale of the stream.
-    Text embeddings sit in their own cone: normalize(anchor + text_scale *
-    prototype).  `class_skew` < 1 makes label distributions differ per
-    domain; a fraction `outlier_fraction` of samples draw `outlier_scale`
-    times the per-sample noise radius.
+    coordinates), a recurring cluster offset, and per-sample noise; the
+    coordinate after them carries the anchor.  How hard the stream is comes
+    from the module constants, not from the config.
     """
 
     num_classes: int
@@ -71,38 +72,11 @@ class StreamConfig:
     dim: int
     samples_per_domain: int
     ordering: str = "mixed"
-    class_dims: int | None = None
-    domain_dims: int | None = None
-    signal_scale: float = 0.10
-    text_scale: float = 0.75
-    text_anchor_spread: float = 0.10
-    cluster_sigma: float = 0.25
-    within_sigma: float = 0.20
-    clusters_per_class: int = 12
-    shift_scale: float = 1.3
-    damp_fraction: float = 0.5
-    damp_strength: float = 0.15
-    class_skew: float = 0.45
-    blank_fraction: float = 0.20
-    blank_evidence: float = 0.15
-    blank_context: float = 0.6
-    domain_heterogeneity: float = 0.6
-    outlier_fraction: float = 0.1
-    outlier_scale: float = 2.0
-    log_temp: float = math.log(100.0)
     seed: int = 0
 
     def __post_init__(self):
         _check_field_types(
-            self,
-            integers=("num_classes", "num_domains", "dim", "samples_per_domain",
-                      "clusters_per_class", "seed",
-                      *(name for name in ("class_dims", "domain_dims")
-                        if getattr(self, name) is not None)),
-            reals=("signal_scale", "text_scale", "text_anchor_spread", "cluster_sigma",
-                   "within_sigma", "shift_scale", "damp_fraction", "damp_strength",
-                   "class_skew", "blank_fraction", "blank_evidence", "blank_context",
-                   "domain_heterogeneity", "outlier_fraction", "outlier_scale", "log_temp"))
+            self, integers=("num_classes", "num_domains", "dim", "samples_per_domain", "seed"))
         if self.num_classes < 2:
             raise ValueError("num_classes: need at least 2 classes")
         if self.num_domains < 1:
@@ -113,50 +87,16 @@ class StreamConfig:
             raise ValueError("samples_per_domain: must be positive")
         if self.ordering not in ("mixed", "sequential"):
             raise ValueError(f"ordering: must be 'mixed' or 'sequential', got '{self.ordering}'")
-        if self.class_dims is None:
-            object.__setattr__(self, "class_dims", min(self.dim // 2, max(self.num_classes, 2)))
-        if self.domain_dims is None:
-            object.__setattr__(
-                self,
-                "domain_dims",
-                max(0, min(self.num_domains, self.dim - self.class_dims - 1)),
-            )
-        if self.class_dims < 1 or self.domain_dims < 0:
-            raise ValueError("class_dims/domain_dims: must be positive")
-        # one coordinate is reserved for the anchor direction
-        if self.class_dims + self.domain_dims + 1 > self.dim:
-            raise ValueError(
-                f"class_dims + domain_dims + 1 = {self.class_dims + self.domain_dims + 1} "
-                f"exceeds dim = {self.dim} (one coordinate is reserved for the anchor)"
-            )
-        if self.signal_scale <= 0 or self.text_scale <= 0:
-            raise ValueError("signal_scale/text_scale: must be positive")
-        if not 0.0 <= self.text_anchor_spread < 1.0:
-            raise ValueError("text_anchor_spread: must lie in [0, 1)")
-        if self.cluster_sigma <= 0 or self.within_sigma <= 0:
-            raise ValueError("cluster_sigma/within_sigma: must be positive")
-        if self.clusters_per_class < 1:
-            raise ValueError("clusters_per_class: must be positive")
-        if self.shift_scale < 0:
-            raise ValueError("shift_scale: must be non-negative")
-        if not 0.0 <= self.damp_fraction <= 1.0:
-            raise ValueError("damp_fraction: must lie in [0, 1]")
-        if not 0.0 <= self.damp_strength <= 1.0:
-            raise ValueError("damp_strength: must lie in [0, 1]")
-        if not 0.0 < self.class_skew <= 1.0:
-            raise ValueError("class_skew: must lie in (0, 1]")
-        if not 0.0 <= self.blank_fraction <= 1.0:
-            raise ValueError("blank_fraction: must lie in [0, 1]")
-        if not 0.0 <= self.blank_evidence <= 1.0:
-            raise ValueError("blank_evidence: must lie in [0, 1]")
-        if not 0.0 <= self.blank_context <= 1.0:
-            raise ValueError("blank_context: must lie in [0, 1]")
-        if not 0.0 <= self.domain_heterogeneity < 1.0:
-            raise ValueError("domain_heterogeneity: must lie in [0, 1)")
-        if not 0.0 <= self.outlier_fraction <= 1.0:
-            raise ValueError("outlier_fraction: must lie in [0, 1]")
-        if self.outlier_scale < 1.0:
-            raise ValueError("outlier_scale: must be >= 1")
+
+    @property
+    def class_dims(self) -> int:
+        """Width of the class block: at most half the coordinates."""
+        return min(self.dim // 2, max(self.num_classes, 2))
+
+    @property
+    def domain_dims(self) -> int:
+        """Width of the marker block: what is left after the class block and the anchor."""
+        return max(0, min(self.num_domains, self.dim - self.class_dims - 1))
 
     @property
     def anchor_index(self) -> int:
@@ -195,48 +135,33 @@ def _class_prototypes(cfg: StreamConfig, rng: np.random.Generator) -> np.ndarray
     return protos
 
 
-def make_domain_specs(cfg: StreamConfig, rng: np.random.Generator) -> list[DomainSpec]:
-    """Per-domain marker directions and class-block damping masks.
+def _domain_shifts(cfg: StreamConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-domain marker directions and class-block damping masks, each (D, dim).
 
     Damped coordinates are dealt round-robin so different domains lose
     different parts of the class evidence (disjoint when they fit, which
     maximizes how differently domains corrupt).
     """
-    specs = []
-    cd, dd = cfg.class_dims, cfg.domain_dims
-    num_damped = int(round(cfg.damp_fraction * cd))
-    if dd > 0 and cfg.num_domains <= dd:
-        markers = _orthonormal_rows(cfg.num_domains, dd, rng)
+    D, cd, dd = cfg.num_domains, cfg.class_dims, cfg.domain_dims
+    markers = np.zeros((D, cfg.dim))
+    if dd > 0 and D <= dd:
+        markers[:, cd : cd + dd] = _orthonormal_rows(D, dd, rng)
     elif dd > 0:
-        raw = rng.standard_normal((cfg.num_domains, dd))
-        markers = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    else:
-        markers = np.zeros((cfg.num_domains, 0))
+        raw = rng.standard_normal((D, dd))
+        markers[:, cd : cd + dd] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    num_damped = int(round(_DAMP_FRACTION * cd))
     deal = rng.permutation(cd)
-    for j in range(cfg.num_domains):
-        vec = np.zeros(cfg.dim)
-        if dd > 0:
-            vec[cd : cd + dd] = markers[j]
-        mask = np.ones(cfg.dim)
-        damped = [deal[(j * num_damped + i) % cd] for i in range(num_damped)]
-        mask[damped] = cfg.damp_strength
-        specs.append(
-            DomainSpec(
-                domain_id=f"dom{j}",
-                shift_vector=vec,
-                shift_scale=cfg.shift_scale,
-                noise_sigma=cfg.within_sigma,
-                damp_mask=mask,
-            )
-        )
-    return specs
+    masks = np.ones((D, cfg.dim))
+    for j in range(D):
+        masks[j, deal[(j * num_damped + np.arange(num_damped)) % cd]] = _DAMP_STRENGTH
+    return markers, masks
 
 
 def _domain_class_probs(cfg: StreamConfig, j: int) -> np.ndarray:
     """Skewed label distribution for domain j: geometric weights, rotated so
     each domain favors a different class (the stream stays balanced overall)."""
     ranks = (np.arange(cfg.num_classes) - j) % cfg.num_classes
-    probs = cfg.class_skew ** ranks
+    probs = _CLASS_SKEW ** ranks
     return probs / probs.sum()
 
 
@@ -253,54 +178,55 @@ def generate(cfg: StreamConfig) -> tuple[list[Sample], TextBank]:
     """
     rng = np.random.default_rng(cfg.seed)
     protos = _class_prototypes(cfg, rng)
-    specs = make_domain_specs(cfg, rng)
+    markers, masks = _domain_shifts(cfg, rng)
     anchor = _anchor(cfg)
     samples: list[Sample] = []
-    for j, spec in enumerate(specs):
+    for j in range(cfg.num_domains):
         # domains alternate between benign (small context offsets, few blanks)
         # and hostile (strong context bias, many unreliable captures)
-        severity = 1.0 + cfg.domain_heterogeneity * (1.0 if j % 2 else -1.0)
-        shift = spec.shift_scale * spec.shift_vector
+        severity = 1.0 + _DOMAIN_HETEROGENEITY * (1.0 if j % 2 else -1.0)
+        shift = _SHIFT_SCALE * markers[j]
+        domain_id = f"dom{j}"
         # recurring per-class contexts: related captures of the same subject
-        contexts = severity * cfg.cluster_sigma * rng.standard_normal(
-            (cfg.num_classes, cfg.clusters_per_class, cfg.dim)
+        contexts = severity * _CLUSTER_SIGMA * rng.standard_normal(
+            (cfg.num_classes, _CLUSTERS_PER_CLASS, cfg.dim)
         )
         labels = rng.choice(
             cfg.num_classes, size=cfg.samples_per_domain, p=_domain_class_probs(cfg, j)
         )
-        clusters = rng.integers(cfg.clusters_per_class, size=cfg.samples_per_domain)
-        noise = cfg.within_sigma * rng.standard_normal((cfg.samples_per_domain, cfg.dim))
-        outlier = rng.random(cfg.samples_per_domain) < cfg.outlier_fraction
-        blank = rng.random(cfg.samples_per_domain) < severity * cfg.blank_fraction
+        clusters = rng.integers(_CLUSTERS_PER_CLASS, size=cfg.samples_per_domain)
+        noise = _WITHIN_SIGMA * rng.standard_normal((cfg.samples_per_domain, cfg.dim))
+        outlier = rng.random(cfg.samples_per_domain) < _OUTLIER_FRACTION
+        blank = rng.random(cfg.samples_per_domain) < severity * _BLANK_FRACTION
         for i in range(cfg.samples_per_domain):
-            scale = cfg.outlier_scale if outlier[i] else 1.0
+            scale = _OUTLIER_SCALE if outlier[i] else 1.0
             # blanks carry almost no class evidence and only loosely follow
             # their context, but keep the domain marker: unreliable captures
             # that still circulate through every neighborhood of their domain
-            evidence = cfg.blank_evidence if blank[i] else 1.0
-            attachment = cfg.blank_context if blank[i] else 1.0
+            evidence = _BLANK_EVIDENCE if blank[i] else 1.0
+            attachment = _BLANK_CONTEXT if blank[i] else 1.0
             sig = (
-                evidence * spec.damp_mask * protos[labels[i]]
+                evidence * masks[j] * protos[labels[i]]
                 + shift
                 + attachment * contexts[labels[i], clusters[i]]
                 + scale * noise[i]
             )
-            x = anchor + cfg.signal_scale * sig
+            x = anchor + _SIGNAL_SCALE * sig
             samples.append(
                 Sample(
                     feature=x / np.linalg.norm(x),
                     true_label=int(labels[i]),
-                    domain_id=spec.domain_id,
+                    domain_id=domain_id,
                 )
             )
     # uneven anchor alignment gives the zero-shot classifier a systematic
     # class prior (low-index classes over-predicted), as real text banks do
-    align = 1.0 + cfg.text_anchor_spread * np.linspace(0.5, -0.5, cfg.num_classes)
-    text = align[:, None] * anchor + cfg.text_scale * protos
+    align = 1.0 + _TEXT_ANCHOR_SPREAD * np.linspace(0.5, -0.5, cfg.num_classes)
+    text = align[:, None] * anchor + _TEXT_SCALE * protos
     text = text / np.linalg.norm(text, axis=1, keepdims=True)
     bank = TextBank(
         embeddings=text,
-        log_temp=cfg.log_temp,
+        log_temp=_LOG_TEMP,
         class_names=[f"class{c}" for c in range(cfg.num_classes)],
     )
     return order_stream(samples, cfg.ordering, cfg.seed), bank
@@ -364,9 +290,10 @@ def load_jsonl(
                 raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(rec, dict) or "v" not in rec:
                 raise ValueError(f"line {lineno}: missing field 'v'")
-            v = np.asarray(rec["v"], dtype=np.float64)
-            if v.ndim != 1:
-                raise ValueError(f"line {lineno}: 'v' must be a flat vector")
+            v = rec["v"]
+            if not isinstance(v, list) or not set(map(type, v)) <= {int, float}:
+                raise ValueError(f"line {lineno}: 'v' must be a flat list of numbers")
+            v = np.array(v, dtype=np.float64)
             if dim is None:
                 dim = v.shape[0]
             elif v.shape[0] != dim:

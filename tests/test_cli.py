@@ -63,13 +63,6 @@ def test_gen_same_config_and_seed_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_gen_rejects_inconsistent_dims_with_named_constraint(tmp_path, capsys):
-    cfg_path = write_stream_config(tmp_path / "bad.json", class_dims=8, domain_dims=6)
-    code = main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "class_dims" in capsys.readouterr().err
-
-
 def test_gen_rejects_unknown_field(tmp_path, capsys):
     cfg_path = write_stream_config(tmp_path / "bad.json", num_classs=4)
     assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
@@ -166,6 +159,16 @@ def test_run_rejects_non_integer_config_values(tmp_path, dataset_dir, capsys, fi
                  "--config", str(acfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert field in _single_error_line(capsys.readouterr().err)
+
+
+def test_run_reports_an_allocation_failure_in_one_line(tmp_path, dataset_dir, capsys):
+    # the cache columns would need 2 * 3 * 1e12 rows of 12 float64s, beyond any 64-bit
+    # user address space, so the request fails at once and allocates nothing
+    acfg = write_adapter_config(tmp_path / "adapter.json", capacity_per_class=10**12)
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    _single_error_line(capsys.readouterr().err)
 
 
 def test_run_rejects_empty_dataset(tmp_path, dataset_dir, capsys):
@@ -363,15 +366,19 @@ def test_analyze_rejects_a_missing_dataset(tmp_path, dataset_dir, capsys, source
     lambda m: m.update(seed=True),
     lambda m: m["inputs"].update(renormalize="yes"),
     lambda m: m.update(inputs=["data"]),
-], ids=["string-seed", "bool-seed", "string-renormalize", "inputs-not-an-object"])
+    lambda m: m["inputs"].update(dataset=5),
+    lambda m: "{not json",
+], ids=["string-seed", "bool-seed", "string-renormalize", "inputs-not-an-object",
+        "integer-dataset", "not-json"])
 def test_analyze_rejects_a_malformed_run_manifest(tmp_path, dataset_dir, capsys, edit):
+    # `edit` changes the recorded manifest in place, or returns the text to write instead
     acfg = write_adapter_config(tmp_path / "adapter.json")
     run_dir = tmp_path / "run"
     assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
                  "--config", str(acfg), "--out", str(run_dir)]) == 0
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    edit(manifest)
-    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    text = edit(manifest)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest) if text is None else text)
     capsys.readouterr()
     assert main(["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
     assert "manifest.json" in _single_error_line(capsys.readouterr().err)
@@ -382,7 +389,7 @@ def test_analyze_rejects_a_malformed_run_manifest(tmp_path, dataset_dir, capsys,
     ("num_classes", 3.0),
     ("samples_per_domain", 2.5),
     ("seed", 1.5),
-    ("log_temp", "x"),
+    ("num_domains", 2.0),
 ])
 def test_gen_rejects_badly_typed_fields_and_writes_nothing(tmp_path, capsys, field, value):
     cfg_path = write_stream_config(tmp_path / "bad.json", **{field: value})

@@ -6,10 +6,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from retta import datagen
 from retta.datagen import (
-    DomainSpec,
     StreamConfig,
     generate,
     load_jsonl,
@@ -43,20 +45,15 @@ def test_different_seeds_differ():
     assert any(not np.array_equal(x.feature, y.feature) for x, y in zip(a, b))
 
 
-def test_degenerate_generator_is_perfectly_classified():
+def test_degenerate_generator_is_perfectly_classified(monkeypatch):
     # no noise sources worth mentioning, no damping, no blanks: samples sit on
     # (anchored) prototypes and zero-shot gets everything right
-    cfg = tiny_cfg(
-        cluster_sigma=1e-9,
-        within_sigma=1e-9,
-        shift_scale=0.0,
-        damp_strength=1.0,
-        blank_fraction=0.0,
-        outlier_fraction=0.0,
-        text_anchor_spread=0.0,
-        class_skew=1.0,
-    )
-    samples, bank = generate(cfg)
+    for name, value in [("_CLUSTER_SIGMA", 1e-9), ("_WITHIN_SIGMA", 1e-9), ("_SHIFT_SCALE", 0.0),
+                        ("_DAMP_STRENGTH", 1.0), ("_BLANK_FRACTION", 0.0),
+                        ("_OUTLIER_FRACTION", 0.0), ("_TEXT_ANCHOR_SPREAD", 0.0),
+                        ("_CLASS_SKEW", 1.0)]:
+        monkeypatch.setattr(datagen, name, value)
+    samples, bank = generate(tiny_cfg())
     from retta.adapter import run_zero_shot
 
     outcomes = run_zero_shot(samples, bank)
@@ -94,9 +91,6 @@ def test_text_bank_rows_are_unit_and_match_class_count():
 
 
 def test_config_validation_names_the_field():
-    with pytest.raises(ValueError, match="class_dims"):
-        StreamConfig(num_classes=3, num_domains=2, dim=6, samples_per_domain=10,
-                     class_dims=4, domain_dims=3)
     with pytest.raises(ValueError, match="ordering"):
         StreamConfig(num_classes=3, num_domains=2, dim=10, samples_per_domain=10,
                      ordering="interleaved")
@@ -104,11 +98,16 @@ def test_config_validation_names_the_field():
         StreamConfig(num_classes=3, num_domains=2, dim=10, samples_per_domain=0)
 
 
-def test_domain_spec_validation():
-    with pytest.raises(ValueError, match="noise_sigma"):
-        DomainSpec("d0", np.zeros(4), shift_scale=1.0, noise_sigma=0.0)
-    with pytest.raises(ValueError, match="finite"):
-        DomainSpec("d0", np.array([np.inf, 0.0]), shift_scale=1.0, noise_sigma=0.1)
+@settings(max_examples=60)
+@given(C=st.integers(2, 200), D=st.integers(1, 50), dim=st.integers(2, 600))
+def test_every_valid_shape_leaves_the_anchor_coordinate_free(C, D, dim):
+    cfg = StreamConfig(num_classes=C, num_domains=D, dim=dim, samples_per_domain=2)
+    assert cfg.class_dims >= 1 and cfg.domain_dims >= 0
+    assert cfg.class_dims + cfg.domain_dims + 1 <= dim
+    samples, bank = generate(cfg)
+    feats = np.stack([s.feature for s in samples])
+    assert feats.shape == (2 * D, dim) and bank.embeddings.shape == (C, dim)
+    np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- ordering
@@ -199,6 +198,28 @@ def test_loader_rejects_dim_mismatch(tmp_path):
         load_jsonl(path)
     with pytest.raises(ValueError, match="line 1"):
         load_jsonl(path, expected_dim=3)
+
+
+@pytest.mark.parametrize("v", [
+    [True, False],
+    ["1.0", 0.0],
+    [{}, 0.0],
+    "abc",
+    [[1.0], 0.0],
+], ids=["booleans", "numeric-string", "object", "string", "nested-list"])
+def test_loader_rejects_a_vector_that_is_not_a_flat_list_of_numbers(tmp_path, v):
+    good = json.dumps({"v": [1.0, 0.0], "label": 0, "domain": "a"})
+    bad = json.dumps({"v": v, "label": 0, "domain": "a"})
+    path = tmp_path / "vectors.jsonl"
+    path.write_text("\n".join([good, good, bad, good]) + "\n")
+    with pytest.raises(ValueError, match="^line 3: 'v' must be a flat list of numbers$"):
+        load_jsonl(path)
+
+
+def test_loader_accepts_integer_vector_entries(tmp_path):
+    path = tmp_path / "ints.jsonl"
+    path.write_text(json.dumps({"v": [0, 1], "label": 0, "domain": "a"}) + "\n")
+    np.testing.assert_array_equal(load_jsonl(path)[0].feature, [0.0, 1.0])
 
 
 def test_loader_accepts_unlabeled_rows(tmp_path):

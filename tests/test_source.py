@@ -1,10 +1,12 @@
-"""Source hygiene: every name a retta module imports is used in that module, and every
+"""Source hygiene: every name a retta module imports is used in that module, every private
+constant it defines is read there, every name `retta.__all__` exports is bound, and every
 function the benchmark's tracer wraps is bound where the tracer looks it up."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,31 @@ def test_unused_imports_finds_an_unread_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_constants(source: str) -> list[str]:
+    """Module-level `_UPPER_CASE` names that `source` assigns but no expression reads."""
+    tree = ast.parse(source)
+    defined = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", target.id)}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(defined - read)
+
+
+def test_unread_private_constants_finds_a_dead_constant():
+    source = "_USED = 1\n_DEAD: float = 2.0\n_lower = 3\nPUBLIC = 4\nx = _USED\n"
+    assert unread_private_constants(source) == ["_DEAD"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_constant_it_defines(path):
+    assert unread_private_constants(path.read_text()) == []
+
+
+def test_every_exported_name_is_bound():
+    assert [name for name in retta.__all__ if not hasattr(retta, name)] == []
 
 
 def load_tracing():
