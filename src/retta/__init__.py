@@ -10,6 +10,7 @@ cached gradients, predicts, and resets.
 from .adapter import (
     AdaptOutcome,
     AdapterConfig,
+    Outcomes,
     ablation_config,
     adapt_and_predict,
     aggregate,
@@ -44,6 +45,7 @@ from .model import (
     GradRecord,
     Prediction,
     Sample,
+    Stream,
     TextBank,
     batch_grads,
     finite_diff_grad,
@@ -64,8 +66,10 @@ __all__ = [
     "GradRecord",
     "ImportanceCheck",
     "MemoryEntry",
+    "Outcomes",
     "Prediction",
     "Sample",
+    "Stream",
     "StreamConfig",
     "SupportSet",
     "TextBank",

@@ -17,6 +17,10 @@ budget.  The per-sample engine (`adapt_and_predict` with `weigh`,
 `aggregate` and `aggregate_recomputed`) is the oracle it is checked and
 timed against; the recomputing mode of `process_batch` runs it.
 
+The engines take a `Stream` (a list of samples is converted once) and slice
+its feature rows; they return one `Outcomes`, whose fields are arrays with a
+row per sample.  An `AdaptOutcome` is built only for a row that is indexed.
+
 Two reference engines live here as well: an online entropy-minimization
 baseline that keeps mutating one parameter set across batches (and must
 recompute gradients at the current parameters, since the cache only holds
@@ -33,16 +37,20 @@ from .memory import ClassMemory, SupportSet, weigh
 from .model import (
     AffineParams,
     GradRecord,
+    Posterior,
     Prediction,
     Sample,
+    Stream,
     TextBank,
     _check_field_types,
+    as_stream,
     batch_grads,
+    concat_posteriors,
+    domain_codes,
     forward,
     posterior,
     predict,
     sample_grad,
-    stack_features,
 )
 
 
@@ -96,6 +104,79 @@ class AdaptOutcome:
     zero_shot: Prediction
     support_size: int
     support_domain_ids: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Outcomes:
+    """The outcome of each row of a stream as arrays: row i of every field is sample i's.
+
+    `adapted` and `zero_shot` are the posteriors with and without adaptation
+    (one object for an engine that does not adapt).  `support_domains` holds
+    each row's support domains as codes into `domain_names`, -1 for an entry
+    without a domain and past the row's `support_size`.  An integer index
+    gives that row's `AdaptOutcome`; a slice or an index array gives an
+    `Outcomes` of those rows.
+    """
+
+    adapted: Posterior
+    zero_shot: Posterior
+    support_size: np.ndarray
+    support_domains: np.ndarray
+    domain_names: tuple[str, ...] = ()
+
+    @classmethod
+    def unadapted(cls, zero_shot: Posterior, adapted: Posterior | None = None) -> "Outcomes":
+        """Rows without a support set; `adapted` defaults to the zero-shot posterior."""
+        n = len(zero_shot.labels)
+        return cls(zero_shot if adapted is None else adapted, zero_shot,
+                   np.zeros(n, dtype=np.int64), np.empty((n, 0), dtype=np.int64))
+
+    @classmethod
+    def from_rows(cls, rows: list[AdaptOutcome], names: tuple[str, ...] | None = None
+                  ) -> "Outcomes":
+        """Per-row outcomes as one `Outcomes`; support domains are coded as in `names`
+        (default: the sorted names that occur)."""
+        if names is None:
+            names = tuple(sorted({name for o in rows for name in o.support_domain_ids}))
+        support = domain_codes([o.support_domain_ids for o in rows], names)
+
+        def stacked(preds: list[Prediction]) -> Posterior:
+            return Posterior(np.array([p.logits for p in preds]), np.array([p.probs for p in preds]),
+                             np.array([p.entropy for p in preds]),
+                             np.array([p.pseudo_label for p in preds], dtype=np.int64))
+
+        return cls(stacked([o.prediction for o in rows]), stacked([o.zero_shot for o in rows]),
+                   np.array([o.support_size for o in rows], dtype=np.int64), support, names)
+
+    @classmethod
+    def concat(cls, parts: list["Outcomes"]) -> "Outcomes":
+        """Consecutive outcomes as one.  Every part codes its support domains as in the
+        last part's `domain_names`, a table that only grows (as `ClassMemory.domain_names`)."""
+        m = max(p.support_domains.shape[1] for p in parts)
+        support = [np.pad(p.support_domains, ((0, 0), (0, m - p.support_domains.shape[1])),
+                          constant_values=-1) for p in parts]
+        return cls(concat_posteriors([p.adapted for p in parts]),
+                   concat_posteriors([p.zero_shot for p in parts]),
+                   np.concatenate([p.support_size for p in parts]), np.concatenate(support),
+                   parts[-1].domain_names)
+
+    def __len__(self) -> int:
+        return len(self.support_size)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (slice, np.ndarray)):
+            return Outcomes(self.adapted[rows], self.zero_shot[rows], self.support_size[rows],
+                            self.support_domains[rows], self.domain_names)
+        return self._row(rows)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def _row(self, i: int) -> AdaptOutcome:
+        names = self.domain_names
+        return AdaptOutcome(self.adapted.prediction(i), self.zero_shot.prediction(i),
+                            int(self.support_size[i]),
+                            tuple([names[c] for c in self.support_domains[i].tolist() if c >= 0]))
 
 
 def aggregate(support: SupportSet) -> GradRecord:
@@ -221,7 +302,7 @@ def _row_chunks(rows: int, floats_per_row: int) -> list[slice]:
 
 
 def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConfig,
-                 params0: AffineParams, bank: TextBank) -> list[Prediction]:
+                 params0: AffineParams, bank: TextBank) -> Posterior:
     """`adapt_and_predict` for a whole batch at once, given each row's `select` support.
 
     Same arithmetic as `weigh`, `aggregate` and the optimizer step, with one
@@ -241,17 +322,17 @@ def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConf
     weights = (shifted / shifted.sum(axis=1, keepdims=True))[:, None, :]
     weight, bias = _step(cfg.optimizer, params0, np.matmul(weights, support["d_weight"])[:, 0],
                          np.matmul(weights, support["d_bias"])[:, 0], cfg.lr)
-    return posterior(V * weight + bias, bank).predictions()
+    return posterior(V * weight + bias, bank)
 
 
 def process_batch(
-    batch: list[Sample],
+    batch: Stream | list[Sample],
     mem: ClassMemory,
     cfg: AdapterConfig,
     bank: TextBank,
     rng: np.random.Generator | None = None,
     recompute_grads: bool = False,
-) -> list[AdaptOutcome]:
+) -> Outcomes:
     """Process one batch: gradients first, then one block insert, then adaptation.
 
     All rows join memory before any sample adapts, so samples within a
@@ -259,59 +340,63 @@ def process_batch(
     array operations, in as few row chunks as `_BLOCK_BYTES` allows;
     `recompute_grads` runs the per-sample reference engine
     (`adapt_and_predict`), which recomputes every support gradient.
+    Support domains are coded as in `mem.domain_names`.
     """
+    batch = as_stream(batch, bank.dim)
     if len(batch) > cfg.batch_size:
         raise ValueError(f"batch of {len(batch)} exceeds configured batch_size {cfg.batch_size}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     params0 = AffineParams.pretrained(bank.dim)
-    V = stack_features(batch, bank.dim)  # the embeddings too: forward at params0 is the identity
+    V = batch.features  # the embeddings too: forward at params0 is the identity
     post = batch_grads(V, params0, bank)
-    mem.insert_block(V, post.d_bias, post.entropy, post.labels, [s.domain_id for s in batch])
-    zero_shot = post.predictions()
+    names = batch.domain_names + (None,)
+    mem.insert_block(V, post.d_bias, post.entropy, post.labels,
+                     [names[c] for c in batch.domains.tolist()])
     if recompute_grads:
-        return [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch]
+        return Outcomes.from_rows(
+            [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch],
+            mem.domain_names)
     # float64s per query: the support stacks and distances (4 d + 10 per entry),
     # a similarity sort (3 per scanned row), the adapted posterior (8 per class, 4 per dim)
     m = min(len(mem), bank.num_classes * cfg.retrieve_k)
     per_query = (4 * bank.dim + 10) * m + 3 * len(mem) + 8 * bank.num_classes + 4 * bank.dim
-    out: list[AdaptOutcome] = []
-    for rows in _row_chunks(len(batch), per_query):
+    adapted, domains = [], []
+    for rows in _row_chunks(len(V), per_query):
         support = mem.select(V[rows], cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
-        adapted = _adapt_block(V[rows], support, cfg, params0, bank)
-        size = support["entropy"].shape[1]
-        out.extend(
-            AdaptOutcome(prediction=pred, zero_shot=zs, support_size=size,
-                         support_domain_ids=tuple(d for d in domains if d is not None))
-            for pred, zs, domains in zip(adapted, zero_shot[rows], support["domain"].tolist()))
-    return out
+        adapted.append(_adapt_block(V[rows], support, cfg, params0, bank))
+        domains.append(support["domain"])
+    zero_shot = Posterior(post.logits, post.probs, post.entropy, post.labels)
+    return Outcomes(concat_posteriors(adapted), zero_shot,
+                    np.full(len(V), domains[0].shape[1]), np.concatenate(domains),
+                    mem.domain_names)
 
 
 def run_stream(
-    stream: list[Sample],
+    stream: Stream | list[Sample],
     cfg: AdapterConfig,
     bank: TextBank,
     recompute_grads: bool = False,
-) -> list[AdaptOutcome]:
+) -> Outcomes:
     """Run the full cached-adaptation engine over a stream, batch by batch."""
+    stream = as_stream(stream, bank.dim)
+    if not len(stream):
+        return Outcomes.unadapted(_zero_shot(stream.features, bank))
     mem = ClassMemory(
         num_classes=bank.num_classes,
         capacity_per_class=cfg.capacity_per_class,
         split=cfg.split_memory,
     )
     rng = np.random.default_rng(cfg.seed)
-    out: list[AdaptOutcome] = []
-    for start in range(0, len(stream), cfg.batch_size):
-        batch = stream[start : start + cfg.batch_size]
-        out.extend(
-            process_batch(batch, mem, cfg, bank, rng=rng, recompute_grads=recompute_grads)
-        )
-    return out
+    return Outcomes.concat([
+        process_batch(stream[start : start + cfg.batch_size], mem, cfg, bank, rng=rng,
+                      recompute_grads=recompute_grads)
+        for start in range(0, len(stream), cfg.batch_size)])
 
 
 def run_entropy_baseline(
-    stream: list[Sample], cfg: AdapterConfig, bank: TextBank
-) -> list[AdaptOutcome]:
+    stream: Stream | list[Sample], cfg: AdapterConfig, bank: TextBank
+) -> Outcomes:
     """Online entropy minimization with one persistent parameter set (no reset).
 
     Per batch: mean entropy gradient at the current parameters (recomputed
@@ -319,28 +404,28 @@ def run_entropy_baseline(
     pretrained parameters), one SignSGD step, then predict the batch with the
     updated parameters.
     """
+    stream = as_stream(stream, bank.dim)
     params = AffineParams.pretrained(bank.dim)
-    out: list[AdaptOutcome] = []
+    adapted = []
     for start in range(0, len(stream), cfg.batch_size):
-        V = stack_features(stream[start : start + cfg.batch_size], bank.dim)
+        V = stream.features[start : start + cfg.batch_size]
         post = posterior(forward(V, params), bank, V)
         mean_grad = GradRecord(post.d_weight.mean(axis=0), post.d_bias.mean(axis=0))
         params = signsgd_step(params, mean_grad, cfg.lr)
-        adapted = posterior(forward(V, params), bank).predictions()
-        zero_shot = posterior(V, bank).predictions()
-        out.extend(AdaptOutcome(prediction=pred, zero_shot=zs, support_size=0)
-                   for pred, zs in zip(adapted, zero_shot))
-    return out
+        adapted.append(posterior(forward(V, params), bank))
+    return Outcomes.unadapted(_zero_shot(stream.features, bank),
+                              concat_posteriors(adapted) if adapted else None)
 
 
-def run_zero_shot(stream: list[Sample], bank: TextBank) -> list[AdaptOutcome]:
+def run_zero_shot(stream: Stream | list[Sample], bank: TextBank) -> Outcomes:
     """Predict every sample at the pretrained parameters, where the embedding is the feature."""
-    out: list[AdaptOutcome] = []
-    for rows in _row_chunks(len(stream), 8 * bank.num_classes + 2 * bank.dim):
-        V = stack_features(stream[rows], bank.dim, first=rows.start)
-        out.extend(AdaptOutcome(prediction=pred, zero_shot=pred, support_size=0)
-                   for pred in posterior(V, bank).predictions())
-    return out
+    return Outcomes.unadapted(_zero_shot(as_stream(stream, bank.dim).features, bank))
+
+
+def _zero_shot(V: np.ndarray, bank: TextBank) -> Posterior:
+    """The posterior of each feature row at the pretrained parameters, in row chunks."""
+    return concat_posteriors([posterior(V[rows], bank) for rows in
+                              _row_chunks(max(len(V), 1), 8 * bank.num_classes + 2 * bank.dim)])
 
 
 def reference_adapter_config(seed: int = 0) -> AdapterConfig:
@@ -356,6 +441,17 @@ def reference_adapter_config(seed: int = 0) -> AdapterConfig:
     )
 
 
+# the config fields each engine variant overrides
+VARIANTS = {
+    "full": {},
+    "no-pb": dict(split_memory=False),
+    "no-dc": dict(topk_selection=False, beta=0.0),
+    "no-pb-dc": dict(split_memory=False, topk_selection=False, beta=0.0),
+    "no-entw": dict(entropy_weighting=False),
+    "no-simw": dict(similarity_weighting=False),
+}
+
+
 def ablation_config(cfg: AdapterConfig, variant: str) -> AdapterConfig:
     """Config for a named engine variant.
 
@@ -363,16 +459,6 @@ def ablation_config(cfg: AdapterConfig, variant: str) -> AdapterConfig:
     selection with beta forced to 0; no-pb-dc: both; no-entw / no-simw:
     drop one weighting factor.
     """
-    if variant == "full":
-        return cfg
-    if variant == "no-pb":
-        return replace(cfg, split_memory=False)
-    if variant == "no-dc":
-        return replace(cfg, topk_selection=False, beta=0.0)
-    if variant == "no-pb-dc":
-        return replace(cfg, split_memory=False, topk_selection=False, beta=0.0)
-    if variant == "no-entw":
-        return replace(cfg, entropy_weighting=False)
-    if variant == "no-simw":
-        return replace(cfg, similarity_weighting=False)
-    raise ValueError(f"unknown engine variant '{variant}'")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown engine variant '{variant}'")
+    return replace(cfg, **VARIANTS[variant]) if VARIANTS[variant] else cfg

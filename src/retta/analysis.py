@@ -6,6 +6,8 @@ similarity-decile same-domain statistic, an exact check of the closed-form
 feature-importance prediction for one gradient-descent step in the binary
 setting, the cached-vs-recompute timing harness, and the report files (the
 composition matrix and the composition and bins writers serve `analyze` too).
+Scoring, the composition matrix and the trace read the arrays of a `Stream`
+and an `Outcomes`; nothing loops over rows in Python but the trace's strings.
 """
 
 from __future__ import annotations
@@ -18,13 +20,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapter import AdapterConfig, AdaptOutcome, adapt_and_predict, gd_step, process_batch
+from .adapter import (
+    AdapterConfig,
+    AdaptOutcome,
+    Outcomes,
+    adapt_and_predict,
+    gd_step,
+    process_batch,
+)
 from .memory import ClassMemory
 from .model import (
     AffineParams,
     GradRecord,
     Sample,
+    Stream,
     TextBank,
+    as_stream,
+    create_file,
     forward,
     predict,
     sample_grad,
@@ -78,38 +90,30 @@ class ImportanceCheck:
     diag_only_gap: float
 
 
-def composition_matrix(domains: list[str], rows) -> np.ndarray:
-    """Support composition in percent, one row per query domain in `domains`.
+def composition_matrix(query: np.ndarray, support: np.ndarray, num_domains: int) -> np.ndarray:
+    """Support composition in percent, one row per query domain.
 
-    `rows` yields (query domain, support domain ids).  Row i averages, over the
-    queries from `domains[i]` with non-empty support, the fraction of their
-    support from each of `domains` (others are not counted), or is all zeros.
+    `query` holds each query's domain code and `support` (queries, m) its
+    support's domain codes, both in [0, num_domains) or -1 for a domain that is
+    not counted.  Row i averages, over the queries from domain i with a
+    counted support domain, the fraction of their counted support from each
+    domain, or is all zeros.  The fractions are summed in query order.
     """
-    dindex = {d: i for i, d in enumerate(domains)}
-    D = len(domains)
-    comp_sums = np.zeros((D, D))
-    comp_counts = np.zeros(D)
-    for domain, support in rows:
-        if not support:
-            continue
-        row = np.zeros(D)
-        for d in support:
-            if d in dindex:
-                row[dindex[d]] += 1
-        row_total = row.sum()
-        if row_total > 0:
-            comp_sums[dindex[domain]] += row / row_total
-            comp_counts[dindex[domain]] += 1
-    composition = np.zeros((D, D))
-    for i in range(D):
-        if comp_counts[i] > 0:
-            composition[i] = 100.0 * comp_sums[i] / comp_counts[i]
-    return composition
+    D = num_domains
+    rows, cols = np.nonzero(support >= 0)
+    # one (query, domain) cell per distinct pair, sorted, so in query order
+    cells, counts = np.unique(rows * D + support[rows, cols], return_counts=True)
+    queries = cells // D
+    fractions = counts / np.bincount(rows, minlength=len(query))[queries]
+    sums = np.bincount(query[queries] * D + cells % D, weights=fractions, minlength=D * D)
+    averaged = np.bincount(query[np.unique(queries)], minlength=D)[:, None]
+    return np.divide(100.0 * sums.reshape(D, D), averaged, out=np.zeros((D, D)),
+                     where=averaged > 0)
 
 
 def evaluate(
-    samples: list[Sample],
-    outcomes: list[AdaptOutcome],
+    samples: Stream | list[Sample],
+    outcomes: Outcomes | list[AdaptOutcome],
     same_domain_ratio_bins: np.ndarray | None = None,
 ) -> EvalReport:
     """Score a run: per-domain accuracy, macro average, and support composition.
@@ -117,35 +121,39 @@ def evaluate(
     The macro average is the unweighted mean over domains.  Invariant to the
     order of (sample, outcome) pairs.
     """
-    if len(samples) != len(outcomes):
+    stream = as_stream(samples)
+    if len(stream) != len(outcomes):
         raise ValueError("need exactly one outcome per sample")
-    for i, s in enumerate(samples):
-        if s.true_label is None or s.domain_id is None:
-            raise ValueError(f"sample {i} is missing true_label or domain_id")
-    domains = sorted({s.domain_id for s in samples})
-
-    correct = {d: 0 for d in domains}
-    totals = {d: 0 for d in domains}
-    for s, o in zip(samples, outcomes):
-        totals[s.domain_id] += 1
-        if o.prediction.pseudo_label == s.true_label:
-            correct[s.domain_id] += 1
-
-    per_domain = {d: correct[d] / totals[d] for d in domains}
-    composition = composition_matrix(
-        domains, ((s.domain_id, o.support_domain_ids) for s, o in zip(samples, outcomes)))
+    if not isinstance(outcomes, Outcomes):
+        outcomes = Outcomes.from_rows(outcomes)
+    missing = (stream.labels < 0) | (stream.domains < 0)
+    if missing.any():
+        raise ValueError(f"sample {int(np.argmax(missing))} is missing true_label or domain_id")
+    domains = sorted(stream.domain_names[c] for c in np.unique(stream.domains).tolist())
+    index = {d: i for i, d in enumerate(domains)}
+    query = _recode(index, stream.domain_names, stream.domains)
+    support = _recode(index, outcomes.domain_names, outcomes.support_domains)
+    totals = np.bincount(query, minlength=len(domains)).tolist()
+    correct = np.bincount(query[outcomes.adapted.labels == stream.labels],
+                          minlength=len(domains)).tolist()
+    per_domain = {d: c / t for d, c, t in zip(domains, correct, totals)}
     return EvalReport(
         per_domain_accuracy=per_domain,
         macro_average=float(np.mean([per_domain[d] for d in domains])),
-        overall_accuracy=sum(correct.values()) / len(samples),
+        overall_accuracy=sum(correct) / len(stream),
         domain_order=domains,
-        composition_matrix=composition,
+        composition_matrix=composition_matrix(query, support, len(domains)),
         same_domain_ratio_bins=same_domain_ratio_bins,
     )
 
 
+def _recode(index: dict[str, int], names: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """Codes into `names` as codes into `index`; -1 and names not in `index` give -1."""
+    return np.array([index.get(name, -1) for name in names] + [-1])[codes]
+
+
 def similarity_bins(
-    samples: list[Sample],
+    samples: Stream | list[Sample],
     num_bins: int = 10,
     max_pairs: int = 1_000_000,
     seed: int = 0,
@@ -159,15 +167,15 @@ def similarity_bins(
     Similarities are computed `_PAIR_CHUNK` pairs at a time and no pair is
     ranked individually, so memory holds a few arrays of one value per pair.
     """
-    for i, s in enumerate(samples):
-        if s.domain_id is None:
-            raise ValueError(f"sample {i} has no domain_id")
-    domains = sorted({s.domain_id for s in samples})
-    if len(domains) < 2:
+    stream = as_stream(samples)
+    dom_codes = stream.domains
+    if (dom_codes < 0).any():
+        raise ValueError(f"sample {int(np.argmax(dom_codes < 0))} has no domain_id")
+    if len(np.unique(dom_codes)) < 2:
         raise ValueError("similarity bins need at least 2 domains")
     if num_bins < 1:
         raise ValueError("num_bins must be at least 1")
-    n = len(samples)
+    n = len(stream)
     total_pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     if total_pairs <= max_pairs:
@@ -176,9 +184,7 @@ def similarity_bins(
         ii = rng.integers(0, n, size=max_pairs)
         jj = rng.integers(0, n - 1, size=max_pairs)
         jj += jj >= ii  # j != i, uniform over ordered pairs
-    feats = np.stack([s.feature for s in samples])
-    code_of = {d: i for i, d in enumerate(domains)}
-    dom_codes = np.array([code_of[s.domain_id] for s in samples])
+    feats = stream.features
     m = len(ii)
     sims = np.empty(m)
     same = np.empty(m, dtype=bool)
@@ -350,13 +356,13 @@ def write_report_files(report: EvalReport, out_dir: str | Path) -> list[Path]:
     written = []
 
     report_path = out / "report.json"
-    with open(report_path, "w") as fh:
+    with create_file(report_path) as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     written.append(report_path)
 
     per_domain_path = out / "per_domain.csv"
-    with open(per_domain_path, "w", newline="") as fh:
+    with create_file(per_domain_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "accuracy"])
         for d in report.domain_order:
@@ -373,7 +379,7 @@ def write_report_files(report: EvalReport, out_dir: str | Path) -> list[Path]:
 
 def write_composition_csv(path: Path, domains: list[str], composition: np.ndarray) -> Path:
     """composition.csv: a header of the support domains, then one row per query domain."""
-    with open(path, "w", newline="") as fh:
+    with create_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_domain"] + list(domains))
         for d, row in zip(domains, composition):
@@ -383,10 +389,27 @@ def write_composition_csv(path: Path, domains: list[str], composition: np.ndarra
 
 def write_bins_csv(path: Path, bins: np.ndarray | None) -> Path:
     """bins.csv: the same-domain ratio of each similarity bin; only the header if None."""
-    with open(path, "w", newline="") as fh:
+    with create_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "same_domain_ratio"])
         if bins is not None:
             for i, r in enumerate(bins, start=1):
                 writer.writerow([i, f"{r:.6f}"])
+    return path
+
+
+def write_trace(path: Path, stream: Stream, outcomes: Outcomes) -> Path:
+    """trace.jsonl: per sample its domain, true label, adapted and zero-shot labels and
+    support domains, one JSON object per line (the text `json.dumps` gives each row)."""
+    query = [json.dumps(name) for name in stream.domain_names] + ["null"]
+    names = [json.dumps(name) for name in outcomes.domain_names]
+    lines = [
+        f'{{"domain": {query[d]}, "true_label": {"null" if label < 0 else label}, '
+        f'"predicted": {pred}, "zero_shot": {zs}, '
+        f'"support_domains": [{", ".join([names[c] for c in support if c >= 0])}]}}\n'
+        for d, label, pred, zs, support in zip(
+            stream.domains.tolist(), stream.labels.tolist(), outcomes.adapted.labels.tolist(),
+            outcomes.zero_shot.labels.tolist(), outcomes.support_domains.tolist())]
+    with create_file(path) as fh:
+        fh.writelines(lines)
     return path

@@ -20,25 +20,9 @@ import numpy as np
 
 from . import adapter, analysis, datagen, model
 
-METHODS = (
-    "retta",
-    "retta-no-pb",
-    "retta-no-dc",
-    "retta-no-pb-dc",
-    "retta-no-entw",
-    "retta-no-simw",
-    "entmin",
-    "zeroshot",
-)
-
-_VARIANT_OF = {
-    "retta": "full",
-    "retta-no-pb": "no-pb",
-    "retta-no-dc": "no-dc",
-    "retta-no-pb-dc": "no-pb-dc",
-    "retta-no-entw": "no-entw",
-    "retta-no-simw": "no-simw",
-}
+# the run method of each engine variant: "retta" for the full engine, "retta-<variant>"
+_VARIANT_OF = {"retta" if v == "full" else f"retta-{v}": v for v in adapter.VARIANTS}
+METHODS = (*_VARIANT_OF, "entmin", "zeroshot")
 
 
 class ValidationError(Exception):
@@ -85,7 +69,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
+    with model.create_file(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
@@ -129,31 +113,31 @@ def _load_dataset(dataset_dir: str, renormalize: bool):
     except ValueError as exc:
         raise ValidationError(f"{bank_path}: {exc}") from exc
     try:
-        samples = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
-                                     renormalize=renormalize, num_classes=bank.num_classes)
+        stream = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
+                                    renormalize=renormalize, num_classes=bank.num_classes)
     except ValueError as exc:
         raise ValidationError(f"{dataset_path}: {exc}") from exc
-    if not samples:
+    if not len(stream):
         raise ValidationError(f"dataset has no samples: {dataset_path}")
-    return samples, bank
+    return stream, bank
 
 
-def _run_method(method: str, samples, cfg: adapter.AdapterConfig, bank):
+def _run_method(method: str, stream, cfg: adapter.AdapterConfig, bank):
     if method in _VARIANT_OF:
         run_cfg = adapter.ablation_config(cfg, _VARIANT_OF[method])
-        return adapter.run_stream(samples, run_cfg, bank)
+        return adapter.run_stream(stream, run_cfg, bank)
     if method == "entmin":
-        return adapter.run_entropy_baseline(samples, cfg, bank)
+        return adapter.run_entropy_baseline(stream, cfg, bank)
     if method == "zeroshot":
-        return adapter.run_zero_shot(samples, bank)
+        return adapter.run_zero_shot(stream, bank)
     raise ValidationError(f"unknown method '{method}' (choose from {', '.join(METHODS)})")
 
 
-def _similarity_bins(samples, seed: int):
+def _similarity_bins(stream, seed: int):
     """The run's similarity bins, or None (a header-only bins.csv) for one domain."""
-    if len({s.domain_id for s in samples}) < 2:
+    if len(np.unique(stream.domains)) < 2:  # a row without a domain (-1) counts as one
         return None
-    return analysis.similarity_bins(samples, seed=seed)
+    return analysis.similarity_bins(stream, seed=seed)
 
 
 def cmd_run(args) -> int:
@@ -162,27 +146,15 @@ def cmd_run(args) -> int:
     cfg = _load_config(args.config, adapter.AdapterConfig, "adapter")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    samples, bank = _load_dataset(args.dataset, args.renormalize)
+    stream, bank = _load_dataset(args.dataset, args.renormalize)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcomes = _run_method(args.method, samples, cfg, bank)
-    bins = _similarity_bins(samples, cfg.seed)
-    report = analysis.evaluate(samples, outcomes, same_domain_ratio_bins=bins)
+    outcomes = _run_method(args.method, stream, cfg, bank)
+    bins = _similarity_bins(stream, cfg.seed)
+    report = analysis.evaluate(stream, outcomes, same_domain_ratio_bins=bins)
     written = analysis.write_report_files(report, out_dir)
-
-    trace_path = out_dir / "trace.jsonl"
-    with open(trace_path, "w") as fh:
-        for s, o in zip(samples, outcomes):
-            fh.write(json.dumps({
-                "domain": s.domain_id,
-                "true_label": s.true_label,
-                "predicted": o.prediction.pseudo_label,
-                "zero_shot": o.zero_shot.pseudo_label,
-                "support_domains": list(o.support_domain_ids),
-            }))
-            fh.write("\n")
-    written.append(trace_path)
+    written.append(analysis.write_trace(out_dir / "trace.jsonl", stream, outcomes))
 
     _write_manifest(
         out_dir,
@@ -207,7 +179,7 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    domains, supports = [], []
     with open(trace_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -223,7 +195,8 @@ def cmd_analyze(args) -> int:
             if not isinstance(support, list) or not all(isinstance(d, str) for d in support):
                 raise ValidationError(f"trace line {lineno}: 'support_domains' must be a list "
                                       "of strings")
-            rows.append((row["domain"], support))
+            domains.append(row["domain"])
+            supports.append(support)
 
     # default to the dataset, seed and --renormalize that the run recorded
     manifest_path = run_dir / "manifest.json"
@@ -241,16 +214,17 @@ def cmd_analyze(args) -> int:
             or not isinstance(dataset_dir, (str, type(None)))):
         raise ValidationError(f"{manifest_path}: 'seed' must be an integer, "
                               "'inputs.renormalize' a boolean and 'inputs.dataset' a string")
-    samples = None
+    stream = None
     if dataset_dir is not None:
-        samples, _ = _load_dataset(dataset_dir, renormalize=renormalize)
+        stream, _ = _load_dataset(dataset_dir, renormalize=renormalize)
 
-    domains = sorted({domain for domain, _ in rows})
-    written = [analysis.write_composition_csv(out_dir / "composition.csv", domains,
-                                              analysis.composition_matrix(domains, rows))]
-    if samples is not None:
+    order = tuple(sorted(set(domains)))
+    composition = analysis.composition_matrix(model.domain_codes([domains], order)[0],
+                                              model.domain_codes(supports, order), len(order))
+    written = [analysis.write_composition_csv(out_dir / "composition.csv", order, composition)]
+    if stream is not None:
         written.append(analysis.write_bins_csv(out_dir / "bins.csv",
-                                               _similarity_bins(samples, seed)))
+                                               _similarity_bins(stream, seed)))
 
     _write_manifest(
         out_dir,

@@ -9,8 +9,9 @@ the returned support set class-balanced by construction whenever the queues
 are warm.
 
 Each queue owns 2 * capacity rows of columns shared by all queues, allocated
-on the first insert: z, d_bias (dH/dz), entropy, domain, seq (arrival
-number), label (pseudo-class) and entry.  Its live rows are a window [start,
+on the first insert: z, d_bias (dH/dz), entropy, domain (a code into
+`domain_names`, -1 for none), seq (arrival number), label (pseudo-class) and
+entry.  Its live rows are a window [start,
 start + size), oldest first; an insert writes the next rows, dropping the
 oldest beyond capacity, and when the window hits the end of its rows they move
 back to its first row, so each row is copied O(1) times on average.  Rows stay
@@ -174,6 +175,12 @@ class ClassMemory:
                          else [_Window(num_classes * K, base=0)])
         self._cols: dict[str, np.ndarray] = {}
         self._next_seq = 0
+        self._domain_codes: dict[str, int] = {}
+
+    @property
+    def domain_names(self) -> tuple[str, ...]:
+        """The name of each domain code, in order of first insert."""
+        return tuple(self._domain_codes)
 
     @property
     def queues(self) -> list[list[MemoryEntry]]:
@@ -196,10 +203,12 @@ class ClassMemory:
             missing = rows[np.equal(found, None)]
             row = {key: values[missing] for key, values in self._cols.items()}
             d_weight = row["d_bias"] * row["z"]
+            names = self.domain_names + (None,)
             for i, at in enumerate(missing.tolist()):
                 col[at] = MemoryEntry(row["z"][i], GradRecord(d_weight[i], row["d_bias"][i]),
                                       float(row["entropy"][i]), seq=int(row["seq"][i]),
-                                      domain_id=row["domain"][i], pseudo_class=int(row["label"][i]))
+                                      domain_id=names[row["domain"][i]],
+                                      pseudo_class=int(row["label"][i]))
             found = col[rows]
         return found.tolist()
 
@@ -225,8 +234,9 @@ class ClassMemory:
         The pseudo-labels must come from the zero-shot classifier at pretrained
         parameters, the model state the cached values belong to.  Only labels
         and dims are checked, naming the first bad row, and a bad block changes
-        nothing: a `Sample` has checked each feature's norm and
-        `model.posterior` that every logit and gradient row is finite.
+        nothing: the stream's loader or `Sample` has checked each feature's norm
+        and `model.posterior` that every logit and gradient row is finite.
+        `domains` holds each row's domain name or None; the column keeps its code.
         """
         labels = np.asarray(pseudo_labels)
         r = len(labels)
@@ -247,10 +257,12 @@ class ClassMemory:
         if not cols:
             n = 2 * self.num_classes * self.capacity_per_class
             cols.update(z=np.empty((n, d)), d_bias=np.empty((n, d)), entropy=np.empty(n),
-                        entry=np.empty(n, dtype=object), domain=np.empty(n, dtype=object),
+                        entry=np.empty(n, dtype=object), domain=np.empty(n, dtype=np.int64),
                         seq=np.empty(n, dtype=np.int64), label=np.empty(n, dtype=np.int64))
+        codes = self._domain_codes
         block = dict(z=z, d_bias=d_bias, entropy=np.asarray(entropy),
-                     domain=np.array(domains, dtype=object),
+                     domain=np.array([-1 if name is None else codes.setdefault(name, len(codes))
+                                      for name in domains], dtype=np.int64),
                      seq=np.arange(self._next_seq, self._next_seq + r), label=labels)
         self._next_seq += r
         if not self.split or lo == hi:  # one queue: no sort
@@ -282,8 +294,9 @@ class ClassMemory:
         uniform draw without replacement instead, drawn per query and then per
         queue, and the query values are not read.  The budget is k per queue in
         split mode and C * k in the single unsplit queue.  Returns z, d_weight
-        (formed as d_bias * z), d_bias, entropy and domain as (B, m, ...)
-        arrays, and the (B, m) physical `rows` they came from (for `entries`);
+        (formed as d_bias * z), d_bias, entropy and domain (codes into
+        `domain_names`) as (B, m, ...) arrays, and the (B, m) physical `rows`
+        they came from (for `entries`);
         every query sees the same memory, so m is the same for all.  An empty
         memory gives {}.
         """

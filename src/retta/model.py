@@ -7,6 +7,11 @@ text embeddings by temperature-scaled inner products.  Softmax entropy of the
 resulting distribution is the adaptation objective, and its gradient with
 respect to the affine parameters has a closed form that this module computes
 exactly (and can cross-check against central finite differences).
+
+A `Stream` carries a whole stream as arrays (features, labels, domain codes
+and names) and a `Posterior` the predictions of a block of rows; a per-row
+`Sample` or `Prediction` is built only when a row is indexed.  `create_file`
+is the one way the package opens a file for writing.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -27,6 +33,16 @@ def _as_f64(x, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def create_file(path: str | Path, newline: str | None = None) -> IO[str]:
+    """Open `path` for writing text as a new file: whatever is there is unlinked first.
+
+    Writing over an existing file in place can stall on some file systems;
+    a new file never does.  A symlink at `path` is replaced, not written through.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "x", newline=newline)
 
 
 def _check_field_types(obj, integers=(), booleans=(), reals=()) -> None:
@@ -45,8 +61,12 @@ def _check_field_types(obj, integers=(), booleans=(), reals=()) -> None:
             raise ValueError(f"{name} must be true or false, got {value!r}")
     for name in reals:
         value = getattr(obj, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
+        try:  # an integer too large for a float is not finite either
+            finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                      and math.isfinite(value))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -149,13 +169,82 @@ class Sample:
     domain_id: str | None = None
 
     def __post_init__(self):
-        v = _as_f64(self.feature, "feature")
-        if v.ndim != 1:
-            raise ValueError("feature must be a 1-D vector")
-        dev = abs(float(np.linalg.norm(v)) - 1.0)
-        if dev > UNIT_NORM_TOL:
-            raise ValueError(f"feature norm deviates from 1 by {dev:.3g} (tol 1e-9)")
-        object.__setattr__(self, "feature", v)
+        object.__setattr__(self, "feature", _unit_feature(self.feature))
+
+
+def _unit_feature(feature) -> np.ndarray:
+    """`feature` as a float64 vector; raises unless it is finite, 1-D and of unit norm (1e-9)."""
+    v = _as_f64(feature, "feature")
+    if v.ndim != 1:
+        raise ValueError("feature must be a 1-D vector")
+    dev = abs(float(np.linalg.norm(v)) - 1.0)
+    if dev > UNIT_NORM_TOL:
+        raise ValueError(f"feature norm deviates from 1 by {dev:.3g} (tol 1e-9)")
+    return v
+
+
+@dataclass(frozen=True)
+class Stream:
+    """A stream as arrays: row i of every field is sample i.
+
+    `features` is (n, d) with unit-norm rows, `labels` holds -1 for a row
+    without a label, and `domains` holds codes into `domain_names`, -1 for a
+    row without a domain.  The constructor trusts its arrays: `from_samples`
+    and `datagen.load_jsonl` check every row.  An integer index gives that
+    row's `Sample`, a slice a `Stream` over views of the rows.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    domains: np.ndarray
+    domain_names: tuple[str, ...]
+
+    @classmethod
+    def from_samples(cls, samples: list[Sample], dim: int | None = None) -> "Stream":
+        """The samples as one stream, domains coded in sorted name order; names the first
+        sample whose feature is not of dim `dim` (default: the first sample's)."""
+        if dim is None:
+            dim = samples[0].feature.shape[0] if samples else 0
+        for i, s in enumerate(samples):
+            if s.feature.shape != (dim,):
+                raise ValueError(f"batch element {i}: feature dim {s.feature.shape} "
+                                 f"does not match params dim {(dim,)}")
+        names = sorted({s.domain_id for s in samples} - {None})
+        code = {name: c for c, name in enumerate(names)}
+        return cls(np.array([s.feature for s in samples]).reshape(len(samples), dim),
+                   np.array([-1 if s.true_label is None else s.true_label for s in samples],
+                            dtype=np.int64),
+                   np.array([code.get(s.domain_id, -1) for s in samples], dtype=np.int64),
+                   tuple(names))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, slice):
+            return Stream(self.features[rows], self.labels[rows], self.domains[rows],
+                          self.domain_names)
+        label, code = int(self.labels[rows]), int(self.domains[rows])
+        return Sample(self.features[rows], None if label < 0 else label,
+                      None if code < 0 else self.domain_names[code])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def domain_codes(rows: list, names: tuple[str, ...]) -> np.ndarray:
+    """Each row's domain names as codes into `names` (-1 for a name not in it), one row per
+    list, padded with -1 to the longest."""
+    index = {name: c for c, name in enumerate(names)}
+    codes = np.full((len(rows), max(map(len, rows), default=0)), -1)
+    for i, row in enumerate(rows):
+        codes[i, :len(row)] = [index.get(name, -1) for name in row]
+    return codes
+
+
+def as_stream(samples: Stream | list[Sample], dim: int | None = None) -> Stream:
+    """`samples` as a `Stream`: a stream as it is, a list through `Stream.from_samples`."""
+    return samples if isinstance(samples, Stream) else Stream.from_samples(samples, dim)
 
 
 @dataclass(frozen=True)
@@ -193,20 +282,6 @@ def forward(feature: np.ndarray, params: AffineParams) -> np.ndarray:
     return v * params.weight + params.bias
 
 
-def stack_features(samples: list[Sample], dim: int, first: int = 0) -> np.ndarray:
-    """The samples' features as a (B, dim) block; names the first one of another dim.
-
-    `first` is the batch index of `samples[0]`, for the error message.
-    """
-    if not samples:
-        raise ValueError("batch must be non-empty")
-    for i, s in enumerate(samples, start=first):
-        if s.feature.shape != (dim,):
-            raise ValueError(f"batch element {i}: feature dim {s.feature.shape} "
-                             f"does not match params dim {(dim,)}")
-    return np.stack([s.feature for s in samples])
-
-
 class _BadRow(ValueError):
     """A posterior block row with a non-finite value; `row` is its index."""
 
@@ -235,9 +310,22 @@ class Posterior:
     d_weight: np.ndarray | None = None
     d_bias: np.ndarray | None = None
 
-    def predictions(self) -> list[Prediction]:
-        return [Prediction(logits, probs, pseudo_label=label, entropy=h) for logits, probs, label, h
-                in zip(self.logits, self.probs, self.labels.tolist(), self.entropy.tolist())]
+    def prediction(self, row: int) -> Prediction:
+        """Row `row` as a `Prediction`."""
+        return Prediction(self.logits[row], self.probs[row], pseudo_label=int(self.labels[row]),
+                          entropy=float(self.entropy[row]))
+
+    def __getitem__(self, rows) -> "Posterior":
+        """The predictions of rows `rows` (a slice or an index array), without gradients."""
+        return Posterior(self.logits[rows], self.probs[rows], self.entropy[rows], self.labels[rows])
+
+
+def concat_posteriors(parts: list[Posterior]) -> Posterior:
+    """The predictions of consecutive blocks, without gradients, as one posterior."""
+    if len(parts) == 1:
+        return parts[0]
+    return Posterior(*(np.concatenate([getattr(p, name) for p in parts])
+                       for name in ("logits", "probs", "entropy", "labels")))
 
 
 def posterior(z_block: np.ndarray, bank: TextBank, features: np.ndarray | None = None) -> Posterior:
@@ -263,18 +351,18 @@ def posterior(z_block: np.ndarray, bank: TextBank, features: np.ndarray | None =
     # p * log p -> 0 as p -> 0; guard the 0 * -inf corner explicitly.
     entropy = -np.where(probs > 0.0, probs * log_probs, 0.0).sum(axis=1)
     # argmax ties resolve to the lowest index
-    post = Posterior(logits, probs, entropy, labels=probs.argmax(axis=1))
+    labels = probs.argmax(axis=1)
     if features is None:
-        return post
+        return Posterior(logits, probs, entropy, labels)
     dH_dl = np.where(probs > 0.0, -probs * (log_probs + entropy[:, None]), 0.0)
     dH_dz = scale * np.matmul(bank.embeddings.T, dH_dl[:, :, None])[:, :, 0]
     _check_rows(dH_dz, "non-finite intermediate in entropy gradient")
-    return replace(post, d_weight=dH_dz * features, d_bias=dH_dz)
+    return Posterior(logits, probs, entropy, labels, d_weight=dH_dz * features, d_bias=dH_dz)
 
 
 def predict(z: np.ndarray, bank: TextBank) -> Prediction:
     """Temperature-scaled cosine-logit softmax prediction for one embedding."""
-    return posterior(np.asarray(z, dtype=np.float64)[None, :], bank).predictions()[0]
+    return posterior(np.asarray(z, dtype=np.float64)[None, :], bank).prediction(0)
 
 
 def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> GradRecord:
@@ -290,15 +378,17 @@ def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> Gr
 
 
 def batch_grads(
-    batch: list[Sample] | np.ndarray, params: AffineParams, bank: TextBank
+    batch: Stream | list[Sample] | np.ndarray, params: AffineParams, bank: TextBank
 ) -> Posterior:
     """Posterior and entropy gradients (`d_weight`, `d_bias`) of each sample, rows in order.
 
-    `batch` is a list of samples or the (B, d) block `stack_features` makes of
-    them.  One `posterior` pass over the batch; every element is computed on
-    its own, so the output is identical for any partitioning of the batch.
+    `batch` is a stream, a list of samples or a (B, d) block of features.  One
+    `posterior` pass over the batch; every element is computed on its own, so
+    the output is identical for any partitioning of the batch.
     """
-    V = batch if isinstance(batch, np.ndarray) else stack_features(batch, params.dim)
+    V = batch if isinstance(batch, np.ndarray) else as_stream(batch, params.dim).features
+    if not len(V):
+        raise ValueError("batch must be non-empty")
     try:
         return posterior(forward(V, params), bank, V)
     except _BadRow as exc:
@@ -361,6 +451,8 @@ def load_text_bank(path: str | Path, renormalize: bool = False) -> TextBank:
         rows = [np.asarray(row, dtype=np.float64) for row in data["embeddings"]]
     except (TypeError, ValueError):
         raise ValueError("embeddings must be a list of numeric rows")
+    except OverflowError:
+        raise ValueError("embeddings hold a number too large for a float")
     if not rows:
         raise ValueError("text bank has no embedding rows")
     fixed = [_ensure_unit(row, f"embedding row {i}", accept_tol=1e-6, renormalize=renormalize)
@@ -378,6 +470,6 @@ def save_text_bank(bank: TextBank, path: str | Path) -> None:
         "class_names": bank.class_names,
         "embeddings": [[float(x) for x in row] for row in bank.embeddings],
     }
-    with open(path, "w") as fh:
+    with create_file(path) as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")

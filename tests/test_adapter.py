@@ -399,7 +399,7 @@ def test_row_chunks_leave_results_bitwise_unchanged(monkeypatch, variant):
     monkeypatch.setattr(ClassMemory, "select", spy)
     chunked = run_stream(samples, cfg, bank)
     assert sizes == [1] * len(samples)
-    for a, b in zip(whole + whole_zs, chunked + run_zero_shot(samples, bank)):
+    for a, b in zip([*whole, *whole_zs], [*chunked, *run_zero_shot(samples, bank)]):
         np.testing.assert_array_equal(a.prediction.logits, b.prediction.logits)
         np.testing.assert_array_equal(a.zero_shot.logits, b.zero_shot.logits)
         assert (a.support_size, a.support_domain_ids) == (b.support_size, b.support_domain_ids)

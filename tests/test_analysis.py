@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,19 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retta.adapter import AdapterConfig, AdaptOutcome, run_stream, run_zero_shot
+from retta.adapter import AdapterConfig, AdaptOutcome, Outcomes, run_stream, run_zero_shot
 from retta.analysis import (
     bench_cache,
     bias_gradient_check,
+    composition_matrix,
     evaluate,
     reflect_across_text_bisector,
     second_moment_matrix,
     similarity_bins,
     verify_feature_importance,
     write_report_files,
+    write_trace,
 )
 from retta.datagen import StreamConfig, generate, reference_stream_config
-from retta.model import AffineParams, Prediction, Sample, TextBank, forward, predict
+from retta.model import (
+    AffineParams,
+    Posterior,
+    Prediction,
+    Sample,
+    Stream,
+    TextBank,
+    forward,
+    predict,
+)
 
 
 def unit(rng, d):
@@ -110,6 +122,129 @@ def test_evaluate_requires_labels_and_matching_lengths():
         evaluate([Sample(feature=good.feature)], [fake_outcome(0, 0)])
     with pytest.raises(ValueError, match="one outcome per sample"):
         evaluate([good], [])
+
+
+def loop_composition_matrix(domains, rows):
+    """The oracle for `composition_matrix`: one support-domain count vector per query,
+    its fractions added to the query domain's row in query order."""
+    dindex = {d: i for i, d in enumerate(domains)}
+    D = len(domains)
+    comp_sums = np.zeros((D, D))
+    comp_counts = np.zeros(D)
+    for domain, support in rows:
+        if not support:
+            continue
+        row = np.zeros(D)
+        for d in support:
+            if d in dindex:
+                row[dindex[d]] += 1
+        row_total = row.sum()
+        if row_total > 0:
+            comp_sums[dindex[domain]] += row / row_total
+            comp_counts[dindex[domain]] += 1
+    composition = np.zeros((D, D))
+    for i in range(D):
+        if comp_counts[i] > 0:
+            composition[i] = 100.0 * comp_sums[i] / comp_counts[i]
+    return composition
+
+
+def loop_evaluate(samples, outcomes):
+    """The oracle for `evaluate`: per-row counts in Python dicts."""
+    domains = sorted({s.domain_id for s in samples})
+    correct = {d: 0 for d in domains}
+    totals = {d: 0 for d in domains}
+    for s, o in zip(samples, outcomes):
+        totals[s.domain_id] += 1
+        if o.prediction.pseudo_label == s.true_label:
+            correct[s.domain_id] += 1
+    per_domain = {d: correct[d] / totals[d] for d in domains}
+    composition = loop_composition_matrix(
+        domains, [(s.domain_id, o.support_domain_ids) for s, o in zip(samples, outcomes)])
+    return dict(per_domain_accuracy=per_domain,
+                macro_average=float(np.mean([per_domain[d] for d in domains])),
+                overall_accuracy=sum(correct.values()) / len(samples), domain_order=domains,
+                composition_matrix=composition.tobytes())
+
+
+def json_dumps_trace(samples, outcomes) -> bytes:
+    """The oracle for `write_trace`: one `json.dumps` per row."""
+    return "".join(json.dumps({
+        "domain": s.domain_id,
+        "true_label": s.true_label,
+        "predicted": o.prediction.pseudo_label,
+        "zero_shot": o.zero_shot.pseudo_label,
+        "support_domains": list(o.support_domain_ids),
+    }) + "\n" for s, o in zip(samples, outcomes)).encode()
+
+
+TRACE_NAMES = ["d0", "d1", 'q"uote', "back\\slash", "tab\tname", "ünï", "日本", "😀"]
+
+
+@st.composite
+def scored_runs(draw, labelled=True):
+    """A random stream as samples and its outcomes, the support domains coded into a
+    random name tuple (names the stream lacks, -1 entries and padding included)."""
+    n = draw(st.integers(1, 40), label="n")
+    C = draw(st.integers(2, 4), label="C")
+    query_names = draw(st.lists(st.sampled_from(TRACE_NAMES), min_size=1, max_size=4,
+                                unique=True), label="query names")
+    support_names = tuple(draw(st.lists(st.sampled_from(TRACE_NAMES), max_size=5,
+                                        unique=True), label="support names"))
+    feature = np.eye(3)[0]
+    label = st.integers(0, C - 1) if labelled else st.one_of(st.none(), st.integers(0, C - 1))
+    samples = [Sample(feature, draw(label), draw(st.sampled_from(query_names)))
+               for _ in range(n)]
+    m = draw(st.integers(0, 6), label="m")
+    support = np.array(draw(st.lists(st.lists(st.integers(-1, len(support_names) - 1),
+                                              min_size=m, max_size=m),
+                                     min_size=n, max_size=n)), dtype=np.int64).reshape(n, m)
+    adapted, zero_shot = (Posterior(np.zeros((n, C)), np.zeros((n, C)), np.zeros(n),
+                                    np.array(draw(st.lists(st.integers(0, C - 1), min_size=n,
+                                                           max_size=n)), dtype=np.int64))
+                          for _ in range(2))
+    sizes = np.array(draw(st.lists(st.integers(0, m), min_size=n, max_size=n)), dtype=np.int64)
+    return samples, Outcomes(adapted, zero_shot, sizes, support, support_names)
+
+
+@settings(max_examples=200)
+@given(run=scored_runs())
+def test_evaluate_and_composition_equal_the_loop_oracles_bitwise(run):
+    samples, outcomes = run
+    report = evaluate(Stream.from_samples(samples), outcomes)
+    got = dict(per_domain_accuracy=report.per_domain_accuracy,
+               macro_average=report.macro_average, overall_accuracy=report.overall_accuracy,
+               domain_order=report.domain_order,
+               composition_matrix=report.composition_matrix.tobytes())
+    assert got == loop_evaluate(samples, list(outcomes))
+    assert json.dumps(report.per_domain_accuracy) == json.dumps(got["per_domain_accuracy"])
+
+
+@settings(max_examples=200)
+@given(run=scored_runs(labelled=False))
+def test_trace_equals_the_json_dumps_oracle_byte_for_byte(tmp_path_factory, run):
+    samples, outcomes = run
+    path = write_trace(tmp_path_factory.mktemp("trace") / "trace.jsonl",
+                       Stream.from_samples(samples), outcomes)
+    assert path.read_bytes() == json_dumps_trace(samples, list(outcomes))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_composition_matrix_equals_the_loop_oracle_bitwise(data):
+    """Random codes (-1 uncounted) over up to 5 domains, on sums that round."""
+    D = data.draw(st.integers(1, 5), label="D")
+    n = data.draw(st.integers(0, 60), label="n")
+    m = data.draw(st.integers(0, 7), label="m")
+    query = np.array(data.draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    support = np.array(data.draw(st.lists(st.lists(st.integers(-1, D - 1), min_size=m,
+                                                   max_size=m), min_size=n, max_size=n)),
+                       dtype=np.int64).reshape(n, m)
+    names = [f"d{i}" for i in range(D)]
+    rows = [(names[q], [names[c] for c in row if c >= 0]) for q, row in zip(query, support)]
+    assert (composition_matrix(query, support, D).tobytes()
+            == loop_composition_matrix(names, rows).tobytes())
 
 
 # ---------------------------------------------------------------- bins

@@ -416,3 +416,45 @@ def test_run_rejects_a_malformed_text_bank_field(tmp_path, dataset_dir, capsys, 
                  "--config", str(acfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert field in _single_error_line(capsys.readouterr().err)
+
+
+def _set_first_dataset_entry(dataset_dir, value):
+    path = dataset_dir / "dataset.jsonl"
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[4])
+    row["v"][0] = value
+    lines[4] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_text_bank_field(dataset_dir, field, value):
+    path = dataset_dir / "textbank.json"
+    bank = json.loads(path.read_text())
+    if field == "embeddings":
+        bank["embeddings"][1][0] = value
+    else:
+        bank[field] = value
+    path.write_text(json.dumps(bank))
+
+
+@pytest.mark.parametrize("where, name", [
+    ("dataset", "line 5"),
+    ("embeddings", "embeddings"),
+    ("log_temp", "log_temp"),
+    ("lr", "lr"),
+    ("beta", "beta"),
+])
+def test_run_rejects_an_integer_too_large_for_a_float(tmp_path, dataset_dir, capsys, where, name):
+    huge = 10**400
+    overrides = {}
+    if where == "dataset":
+        _set_first_dataset_entry(dataset_dir, huge)
+    elif where in ("embeddings", "log_temp"):
+        _set_text_bank_field(dataset_dir, where, huge)
+    else:
+        overrides[where] = huge
+    acfg = write_adapter_config(tmp_path / "adapter.json", **overrides)
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert name in _single_error_line(capsys.readouterr().err)

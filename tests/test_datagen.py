@@ -19,6 +19,7 @@ from retta.datagen import (
     reference_stream_config,
     save_jsonl,
 )
+from retta.model import Sample, Stream, _ensure_unit
 
 def tiny_cfg(**kw):
     defaults = dict(num_classes=3, num_domains=2, dim=10, samples_per_domain=60, seed=0)
@@ -166,7 +167,7 @@ def test_round_trip_is_exact(tmp_path):
 def test_empty_file_loads_as_empty_stream(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert load_jsonl(path) == []
+    assert len(load_jsonl(path)) == 0
 
 
 def test_malformed_line_error_names_the_line(tmp_path):
@@ -228,3 +229,124 @@ def test_loader_accepts_unlabeled_rows(tmp_path):
     samples = load_jsonl(path)
     assert samples[0].true_label is None and samples[0].domain_id is None
     assert len(samples) == 1 and samples[0].feature.shape == (2,)
+
+
+def per_line_load_jsonl(path, expected_dim=None, renormalize=False, num_classes=None):
+    """The oracle for `load_jsonl`: parse, check and normalize one line at a time, one
+    `Sample` per line (the loader before it built a `Stream`)."""
+    samples = []
+    dim = expected_dim
+    limit = 2**63 if num_classes is None else num_classes
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict) or "v" not in rec:
+                raise ValueError(f"line {lineno}: missing field 'v'")
+            v = rec["v"]
+            if not isinstance(v, list) or not set(map(type, v)) <= {int, float}:
+                raise ValueError(f"line {lineno}: 'v' must be a flat list of numbers")
+            try:
+                v = np.array(v, dtype=np.float64)
+            except OverflowError:
+                raise ValueError(f"line {lineno}: 'v' holds an integer too large for a float")
+            if dim is None:
+                dim = v.shape[0]
+            elif v.shape[0] != dim:
+                raise ValueError(
+                    f"line {lineno}: vector dim {v.shape[0]} does not match expected {dim}"
+                )
+            label = rec.get("label")
+            if label is not None and (
+                isinstance(label, bool) or not isinstance(label, int) or not 0 <= label < limit
+            ):
+                raise ValueError(f"line {lineno}: label must be an integer in [0, {limit}), "
+                                 f"got {label!r}")
+            domain = rec.get("domain")
+            if domain is not None and not isinstance(domain, str):
+                raise ValueError(f"line {lineno}: domain must be a string, got {domain!r}")
+            try:
+                v = _ensure_unit(v, "v", accept_tol=1e-6, renormalize=renormalize)
+                samples.append(Sample(feature=v, true_label=label, domain_id=domain))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    return samples
+
+
+# relative norm deviations around each rule's cut: the vectorized screen's (5e-10),
+# the untouched-row tolerance (1e-9) and the rescale tolerance (1e-6)
+DEVIATIONS = [sign * dev for sign in (1, -1) for dev in (
+    3e-10, 5e-10 * (1 - 1e-6), 5e-10 * (1 + 1e-6), 1e-9 * (1 - 1e-7), 1e-9 * (1 + 1e-7),
+    5e-7, 1e-6 * (1 - 1e-7), 1e-6 * (1 + 1e-7), 1e-3)] + [0.5]
+ROW_KINDS = ["unit"] * 6 + ["deviation"] * 6 + [
+    "integers", "zero", "nan", "inf", "square-overflow", "huge-integer", "wrong-dim",
+    "bad-label", "bad-domain", "blank", "unlabeled", "no-domain", "bad-json"]
+DOMAIN_NAMES = ["a", "b", 'q"uote', "ünï", "日本"]
+
+
+def loader_row(kind, rng, d, deviation, domain):
+    """One JSONL line of the given kind."""
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    rec = {"v": v.tolist(), "label": int(rng.integers(3)), "domain": domain}
+    if kind == "deviation":
+        rec["v"] = (v * (1.0 + deviation)).tolist()
+    elif kind == "integers":
+        rec["v"] = [0] * (d - 1) + [1]
+    elif kind == "zero":
+        rec["v"] = [0.0] * d
+    elif kind in ("nan", "inf", "huge-integer"):
+        rec["v"][0] = {"nan": float("nan"), "inf": -float("inf"), "huge-integer": 10**400}[kind]
+    elif kind == "square-overflow":
+        rec["v"] = [1e200] * d
+    elif kind == "wrong-dim":
+        rec["v"] = rec["v"] + [0.0]
+    elif kind == "bad-label":
+        rec["label"] = [5, -1, "1", True, 1.5, 2**63][int(rng.integers(6))]
+    elif kind == "bad-domain":
+        rec["domain"] = 3
+    elif kind == "unlabeled":
+        del rec["label"]
+    elif kind == "no-domain":
+        del rec["domain"]
+    elif kind == "blank":
+        return "   "
+    elif kind == "bad-json":
+        return "{not json"
+    return json.dumps(rec)
+
+
+def loaded(load, path, **kwargs):
+    """The loader's rows as (feature block, labels, domains), or its error message."""
+    try:
+        rows = load(path, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    if not len(rows):
+        return None
+    block = rows.features if isinstance(rows, Stream) else np.stack([s.feature for s in rows])
+    return block.shape, block.tobytes(), [s.true_label for s in rows], [s.domain_id for s in rows]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_loader_matches_the_per_line_oracle(tmp_path_factory, data):
+    """On random files `load_jsonl` gives bitwise the oracle's features, the same labels
+    and domains, or the same message for the first bad line."""
+    d = data.draw(st.integers(2, 6), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = data.draw(st.lists(st.sampled_from(ROW_KINDS), max_size=10), label="kinds")
+    lines = [loader_row(kind, rng, d, data.draw(st.sampled_from(DEVIATIONS), label="dev"),
+                        data.draw(st.sampled_from(DOMAIN_NAMES), label="domain"))
+             for kind in kinds]
+    path = tmp_path_factory.mktemp("loader") / "stream.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    kwargs = dict(renormalize=data.draw(st.booleans(), label="renormalize"),
+                  num_classes=data.draw(st.sampled_from([3, None]), label="num_classes"),
+                  expected_dim=data.draw(st.sampled_from([None, d]), label="expected_dim"))
+    assert loaded(load_jsonl, path, **kwargs) == loaded(per_line_load_jsonl, path, **kwargs)

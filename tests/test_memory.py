@@ -471,7 +471,8 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
         for got, expected in ((block, mem.retrieve(query, k).entries),
                               (drawn, mem.sample_uniform(k, clone).entries)):
             assert [id(e) for e in mem.entries(got["rows"][i])] == [id(e) for e in expected]
-            assert got["domain"][i].tolist() == [e.domain_id for e in expected]
+            names = [mem.domain_names[c] for c in got["domain"][i]]
+            assert names == [e.domain_id for e in expected]
             for key, value in (("z", lambda e: e.z), ("entropy", lambda e: e.entropy),
                                ("d_weight", lambda e: e.grad.d_weight),
                                ("d_bias", lambda e: e.grad.d_bias)):

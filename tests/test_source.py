@@ -1,6 +1,7 @@
 """Source hygiene: every name a retta module imports is used in that module, every private
-constant it defines is read there, every name `retta.__all__` exports is bound, and every
-function the benchmark's tracer wraps is bound where the tracer looks it up."""
+constant it defines is read there, every name `retta.__all__` exports is bound, every file is
+written through `model.create_file`, and every function the benchmark's tracer wraps is bound
+where the tracer looks it up."""
 
 from __future__ import annotations
 
@@ -59,6 +60,42 @@ def test_unread_private_constants_finds_a_dead_constant():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_private_constant_it_defines(path):
     assert unread_private_constants(path.read_text()) == []
+
+
+def writes_outside_the_writer(source: str, writer: str = "create_file") -> list[int]:
+    """Lines of `source` outside the function `writer` that open a file for writing:
+    an `open` call (built-in or method) with a mode holding w, a, x or +, or a `write_text`
+    or `write_bytes` call."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == writer for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_writes_outside_the_writer_finds_each_way_to_open_for_writing():
+    source = ("def create_file(p):\n    return open(p, 'x')\n"
+              "open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='a')\n"
+              "path.open('r+')\npath.write_text('x')\nopen(p, mode)\n")
+    assert writes_outside_the_writer(source) == [5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_writes_files_only_through_create_file(path):
+    assert writes_outside_the_writer(path.read_text()) == []
 
 
 def test_every_exported_name_is_bound():
