@@ -67,6 +67,8 @@ _DOMAIN_HETEROGENEITY = 0.6
 _OUTLIER_FRACTION = 0.1
 _OUTLIER_SCALE = 2.0
 _LOG_TEMP = math.log(100.0)
+# the largest array dimension numpy takes; a larger count cannot size an array
+_MAX_ARRAY_DIM = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,10 @@ class StreamConfig:
     def __post_init__(self):
         _check_field_types(
             self, integers=("num_classes", "num_domains", "dim", "samples_per_domain", "seed"))
+        for name in ("num_classes", "num_domains", "dim", "samples_per_domain"):
+            if getattr(self, name) > _MAX_ARRAY_DIM:
+                raise ValueError(f"{name}: too large for an array dimension "
+                                 f"(at most {_MAX_ARRAY_DIM})")
         if self.num_classes < 2:
             raise ValueError("num_classes: need at least 2 classes")
         if self.num_domains < 1:

@@ -35,6 +35,14 @@ identity.
 queue (a matrix product would round by the query's place in the batch), a
 top-k per row, and one gather per column the engine reads from the shared
 rows.  `retrieve` and `sample_uniform` are its one-query forms.
+
+The uniform draw of the no-domain-consistency ablation is pinned to one
+`rng.choice(size, budget, replace=False)` per query and then per queue.
+`_uniform_draws` gives those indices and that final generator state for the
+whole block from one `rng.integers` call of 32-bit words, replaying
+`choice`'s Floyd sampling and shuffle as array steps over the queries.  In
+the rare block where `choice` would redraw a word or shuffle a tail instead,
+it restores the generator state and makes the per-call `choice` loop.
 """
 
 from __future__ import annotations
@@ -291,14 +299,16 @@ class ClassMemory:
 
         Each non-empty queue gives the top `budget` of its rows by inner
         product with the query, ties to the more recent entry; with `rng`, a
-        uniform draw without replacement instead, drawn per query and then per
-        queue, and the query values are not read.  The budget is k per queue in
+        uniform draw without replacement instead, and the query values are not
+        read.  The draw gives the indices, and leaves the generator state, of
+        one `rng.choice(size, min(budget, size), replace=False)` per query and
+        then per queue; it is made as one block (`_uniform_draws`), or as those
+        calls when the block cannot match them.  The budget is k per queue in
         split mode and C * k in the single unsplit queue.  Returns z, d_weight
         (formed as d_bias * z), d_bias, entropy and domain (codes into
         `domain_names`) as (B, m, ...) arrays, and the (B, m) physical `rows`
-        they came from (for `entries`);
-        every query sees the same memory, so m is the same for all.  An empty
-        memory gives {}.
+        they came from (for `entries`); every query sees the same memory, so m
+        is the same for all.  An empty memory gives {}.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -311,9 +321,7 @@ class ClassMemory:
             picks = [_top(np.matmul(cols["z"][w.rows], queries[:, :, None])[:, :, 0], budget)
                      for w in windows]
         else:
-            draws = [[rng.choice(w.size, size=min(budget, w.size), replace=False) for w in windows]
-                     for _ in range(len(queries))]
-            picks = [np.stack([row[j] for row in draws]) for j in range(len(windows))]
+            picks = _uniform_draws(rng, [w.size for w in windows], budget, len(queries))
         rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
         block = {key: cols[key][rows] for key in ("z", "d_bias", "entropy", "domain")}
         block["d_weight"] = block["d_bias"] * block["z"]
@@ -342,6 +350,69 @@ class ClassMemory:
         Used by the no-domain-consistency ablation in place of top-k.
         """
         return self._support(self.select(np.empty((1, 0)), k, rng))
+
+
+def _uniform_draws(rng: np.random.Generator, sizes: list[int], budget: int,
+                   n_queries: int) -> list[np.ndarray]:
+    """Per queue size n, an (n_queries, min(budget, n)) block of uniform draws without
+    replacement: exactly the indices, and the generator state, of one
+    `rng.choice(n, min(budget, n), replace=False)` per query and then per queue.
+
+    For these sizes `choice` runs Floyd's algorithm (for j = n-s ... n-1 draw a value
+    in [0, j]; a value already taken becomes j) and then a Fisher-Yates shuffle (for
+    i = s-1 ... 1 swap slot i with a draw in [0, i]).  Each draw in [0, j] is Lemire's
+    method on one 32-bit word, (x * (j+1)) >> 32, and j = 0 takes no word.  So one
+    `integers` call fetches every word of the block in the loop's order and the draws
+    are replayed as array steps over the queries (a queue holds far fewer than the
+    2**32 rows past which `choice` draws 64-bit words).  When Lemire would redraw a
+    word, or a queue takes `choice`'s tail shuffle (n > 10000 and s > n // 50), the
+    state is restored and the per-call loop runs instead.
+    """
+    counts = [min(budget, n) for n in sizes]
+    if any(n > 10000 and s > n // 50 for n, s in zip(sizes, counts)):
+        return _per_call_draws(rng, sizes, counts, n_queries)
+    W, S = len(sizes), max(counts)
+    t = np.arange(S)
+    s = np.array(counts)[:, None]
+    # each query's words, queue by queue: Floyd's slots t = 0 ... S-1 draw in [0, j] for
+    # j = n-s+t, then the shuffle's slots i = S-1 ... 1 in [0, i]; a queue's live slots
+    # are t < s and i < s, and j = 0 takes no word
+    j = np.concatenate([np.array(sizes)[:, None] - s + t, np.broadcast_to(t[::-1], (W, S))],
+                       axis=1)
+    takes = np.concatenate([t < s, t[::-1] < s], axis=1) & (j > 0)
+    bound = j[takes].astype(np.uint64)
+    state = rng.bit_generator.state
+    words = rng.integers(0, 2**32, size=(n_queries, len(bound)), dtype=np.uint32)
+    scaled = words.astype(np.uint64) * (bound + 1)
+    if np.any((scaled & 0xFFFFFFFF) < (2**32 - 1 - bound) % (bound + 1)):
+        rng.bit_generator.state = state
+        return _per_call_draws(rng, sizes, counts, n_queries)
+    # a slot without a word draws its j: Floyd's 0, or shuffle slot i swaps with itself
+    draws = np.broadcast_to(j, (n_queries, W, 2 * S)).copy()
+    draws[:, takes] = scaled >> 32
+    idx = np.empty((n_queries, W, S), dtype=np.int64)
+    for slot in range(S):
+        value = draws[:, :, slot]
+        taken = (idx[:, :, :slot] == value[:, :, None]).any(axis=2)
+        idx[:, :, slot] = np.where(taken, j[:, slot], value)
+    idx = idx.reshape(n_queries * W, S)
+    swaps = draws[:, :, : S - 1 : -1].reshape(n_queries * W, S)
+    rows = np.arange(n_queries * W)
+    for i in range(S - 1, 0, -1):
+        other = swaps[:, i]
+        held = idx[rows, other]
+        idx[rows, other] = idx[:, i]
+        idx[:, i] = held
+    idx = idx.reshape(n_queries, W, S)
+    return [idx[:, w, :c] for w, c in enumerate(counts)]
+
+
+def _per_call_draws(rng: np.random.Generator, sizes: list[int], counts: list[int],
+                    n_queries: int) -> list[np.ndarray]:
+    """`_uniform_draws` as one `rng.choice` call per query and then per queue."""
+    draws = [[rng.choice(n, size=c, replace=False) for n, c in zip(sizes, counts)]
+             for _ in range(n_queries)]
+    return [np.stack([row[w] for row in draws]) for w in range(len(sizes))]
 
 
 def _top(sims: np.ndarray, budget: int) -> np.ndarray:

@@ -16,6 +16,7 @@ is the one way the package opens a file for writing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -76,10 +77,21 @@ def _ensure_unit(v: np.ndarray, name: str, accept_tol: float, renormalize: bool)
     Vectors within UNIT_NORM_TOL of unit norm pass through untouched so that
     serialization round-trips are exact; larger deviations are rescaled when
     `renormalize` is set or when they fall inside `accept_tol`, and rejected
-    otherwise.
+    otherwise.  Non-finite entries are rejected.  When the squares of the entries
+    overflow (entries above about 1e154) the norm is taken of v over its largest
+    entry and scaled back, so it is the true norm.
     """
-    norm = float(np.linalg.norm(v))
-    dev = abs(norm - 1.0)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    scale = 1.0
+    if math.isinf(norm):
+        scale = float(np.abs(v).max())
+        v = v / scale
+        norm = float(np.linalg.norm(v))
+    true_norm = scale * norm
+    dev = abs(true_norm - 1.0)
     if dev <= UNIT_NORM_TOL:
         return v
     if renormalize or dev <= accept_tol:
@@ -87,7 +99,7 @@ def _ensure_unit(v: np.ndarray, name: str, accept_tol: float, renormalize: bool)
             raise ValueError(f"{name} has zero norm, cannot normalize")
         return v / norm
     raise ValueError(
-        f"{name} has L2 norm {norm:.12g}, deviating from 1 by more than {accept_tol:g}"
+        f"{name} has L2 norm {true_norm:.12g}, deviating from 1 by more than {accept_tol:g}"
     )
 
 
@@ -147,9 +159,16 @@ class AffineParams:
         object.__setattr__(self, "bias", b)
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def pretrained(cls, dim: int) -> "AffineParams":
-        """Identity transform: all-ones scale, all-zeros shift."""
-        return cls(weight=np.ones(dim), bias=np.zeros(dim))
+        """Identity transform: all-ones scale, all-zeros shift.
+
+        Built and checked once per dim and then shared, so its arrays are read-only.
+        """
+        params = cls(weight=np.ones(dim), bias=np.zeros(dim))
+        params.weight.flags.writeable = False
+        params.bias.flags.writeable = False
+        return params
 
     @property
     def dim(self) -> int:

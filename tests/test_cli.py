@@ -400,6 +400,34 @@ def test_gen_rejects_badly_typed_fields_and_writes_nothing(tmp_path, capsys, fie
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["samples_per_domain", "dim", "num_classes", "num_domains"])
+def test_gen_rejects_a_size_too_large_for_an_array_and_names_it(tmp_path, capsys, field):
+    cfg_path = write_stream_config(tmp_path / "huge.json", **{field: 10**400})
+    out = tmp_path / "x"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: stream config: {field}: "), line
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_run_takes_the_true_norm_of_a_row_whose_squares_overflow(tmp_path, dataset_dir, capfd,
+                                                                 renormalize):
+    _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 3,
+                       lambda row: row.update(v=[1e200, 1e200] + [0.0] * (len(row["v"]) - 2)))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(tmp_path / "x")]
+                + ["--renormalize"] * renormalize)
+    out, err = capfd.readouterr()
+    if renormalize:
+        assert code == 0 and not err and len(out.splitlines()) == 1
+    else:
+        assert code == 1 and not out
+        assert "line 3: v has L2 norm 1.41421356237e+200" in _single_error_line(err)
+
+
 @pytest.mark.parametrize("field, value", [
     ("log_temp", None),
     ("log_temp", True),

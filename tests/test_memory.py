@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retta.adapter import aggregate, signsgd_step
-from retta.memory import ClassMemory, MemoryEntry, SupportSet, weigh
+from retta.memory import ClassMemory, MemoryEntry, SupportSet, _uniform_draws, weigh
 from retta.model import AffineParams, GradRecord, TextBank, forward, predict
 
 
@@ -477,6 +477,99 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
                                ("d_weight", lambda e: e.grad.d_weight),
                                ("d_bias", lambda e: e.grad.d_bias)):
                 np.testing.assert_array_equal(got[key][i], np.array([value(e) for e in expected]))
+
+
+# ---------------------------------------------------------------- uniform draw
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its `choice` calls, to tell the block draw from its fallback."""
+
+    calls = 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return super().choice(*args, **kwargs)
+
+
+def generator_at(state: dict) -> CountingGenerator:
+    rng = CountingGenerator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def per_call_draws(rng, sizes, budget, n_queries):
+    """The reference draw: one `rng.choice` per query and then per queue, stacked per queue."""
+    draws = [[rng.choice(n, size=min(budget, n), replace=False) for n in sizes]
+             for _ in range(n_queries)]
+    return [np.stack([row[j] for row in draws]) for j in range(len(sizes))]
+
+
+def start_state(seed: int, half_word: bool) -> dict:
+    """A PCG64 state, with a buffered 32-bit half word when `half_word` is set."""
+    rng = np.random.default_rng(seed)
+    if half_word:
+        rng.integers(2**32, dtype=np.uint32)
+    return rng.bit_generator.state
+
+
+def assert_block_draw_equals_per_call(state, sizes, budget, n_queries) -> int:
+    """`_uniform_draws` against the per-call loop from the same state: the same indices and
+    the same final generator state.  Returns the block draw's `choice` calls."""
+    block, loop = generator_at(state), generator_at(state)
+    got = _uniform_draws(block, sizes, budget, n_queries)
+    expected = per_call_draws(loop, sizes, budget, n_queries)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        np.testing.assert_array_equal(g, e)
+    assert block.bit_generator.state == loop.bit_generator.state
+    return block.calls
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_block_draw_equals_per_call_choice(data):
+    """Ragged windows (some below the budget, pops of 1 and 2), the split budget k and
+    the unsplit C * k, from states with and without a buffered half word."""
+    C = data.draw(st.integers(1, 5), label="classes")
+    k = data.draw(st.integers(1, 8), label="k")
+    split = data.draw(st.booleans(), label="split")
+    budget = k if split else C * k
+    sizes = data.draw(st.lists(st.one_of(st.integers(1, 2), st.integers(1, 3 * budget)),
+                               min_size=1, max_size=C if split else 1), label="sizes")
+    state = start_state(data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                        data.draw(st.booleans(), label="half_word"))
+    assert_block_draw_equals_per_call(state, sizes, budget,
+                                      data.draw(st.integers(1, 8), label="queries"))
+
+
+@pytest.mark.parametrize("pop", [9999, 10000, 10001, 10002, 19999, 20000, 20001])
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+def test_block_draw_equals_per_call_choice_at_the_tail_shuffle_cut(pop, offset):
+    """`choice` shuffles a tail instead of running Floyd's algorithm once pop > 10000 and
+    size > pop // 50; sizes around that cut fall back to `choice` exactly there."""
+    size = pop // 50 + offset
+    state = start_state(pop + offset, half_word=offset % 2 == 1)
+    calls = assert_block_draw_equals_per_call(state, [pop, 7], size, 2)
+    assert calls == (4 if pop > 10000 and size > pop // 50 else 0)
+
+
+def test_block_draw_makes_no_choice_call():
+    """The reference shapes (warm and warm-up queues, split and unsplit) take the block
+    path: no `choice` call."""
+    for sizes, budget in (([10, 10, 10, 10], 5), ([10, 3, 1, 10], 5), ([40], 20), ([7], 20)):
+        assert assert_block_draw_equals_per_call(start_state(0, False), sizes, budget, 64) == 0
+
+
+def test_block_draw_falls_back_when_lemire_would_redraw():
+    """A zero word is rejected by Lemire's method whenever (2**32 - 1 - j) % (j + 1) > 0:
+    a buffered zero half word makes the first draw (j = 7 - 3 = 4) redraw, and the block
+    falls back to the per-call loop."""
+    state = start_state(5, False)
+    state.update(has_uint32=1, uinteger=0)
+    assert (2**32 - 1 - 4) % 5 > 0
+    assert assert_block_draw_equals_per_call(state, [7, 7], 3, 4) == 8
 
 
 # ---------------------------------------------------------------- weigh

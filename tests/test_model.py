@@ -13,6 +13,7 @@ from retta.model import (
     GradRecord,
     Sample,
     TextBank,
+    _ensure_unit,
     batch_grads,
     entropy_at,
     finite_diff_grad,
@@ -270,6 +271,44 @@ def test_pretrained_params_are_identity():
     p = AffineParams.pretrained(5)
     np.testing.assert_array_equal(p.weight, np.ones(5))
     np.testing.assert_array_equal(p.bias, np.zeros(5))
+
+
+def test_pretrained_params_are_shared_and_read_only():
+    p = AffineParams.pretrained(5)
+    assert AffineParams.pretrained(5) is p
+    for values in (p.weight, p.bias):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 2.0
+    np.testing.assert_array_equal(p.weight, np.ones(5))
+    np.testing.assert_array_equal(p.bias, np.zeros(5))
+
+
+@pytest.mark.filterwarnings("error")
+def test_ensure_unit_takes_the_true_norm_of_entries_whose_squares_overflow():
+    big = np.array([1e200, 1e200])
+    with pytest.raises(ValueError, match=r"L2 norm 1\.41421356237e\+200"):
+        _ensure_unit(big, "v", accept_tol=1e-6, renormalize=False)
+    unit = _ensure_unit(big, "v", accept_tol=1e-6, renormalize=True)
+    np.testing.assert_array_equal(unit, np.array([1.0, 1.0]) / np.sqrt(2.0))
+    assert Sample(unit).feature is unit
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ensure_unit_rejects_non_finite_entries_without_a_warning(bad):
+    for renormalize in (False, True):
+        with pytest.raises(ValueError, match="v contains non-finite entries"):
+            _ensure_unit(np.array([bad, 1.0]), "v", accept_tol=1e-6, renormalize=renormalize)
+
+
+def test_ensure_unit_keeps_the_bits_of_rows_with_a_finite_norm():
+    rng = np.random.default_rng(8)
+    for scale in (1.0 + 1e-10, 1.0 + 5e-7, 3.0, 1e150, 1e-150):
+        v = rng.standard_normal(6)
+        v = v / np.linalg.norm(v) * scale
+        expected = v / float(np.linalg.norm(v))
+        got = _ensure_unit(v.copy(), "v", accept_tol=1e-6, renormalize=True)
+        assert got.tobytes() == (v.tobytes() if scale == 1.0 + 1e-10 else expected.tobytes())
 
 
 def test_sample_rejects_off_unit_feature():
