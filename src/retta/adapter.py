@@ -316,9 +316,11 @@ def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConf
         log_raw -= cfg.beta * np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
     if not np.all(np.isfinite(log_raw)):
         raise ValueError("non-finite aggregation weights (degenerate entropies or distances)")
-    if np.any(np.exp(log_raw).sum(axis=1) == 0.0):
+    row_max = log_raw.max(axis=1, keepdims=True)
+    # the raw weights exp(log_raw) sum to 0 exactly when their largest is 0
+    if np.any(np.exp(row_max) == 0.0):
         raise ValueError("all raw aggregation weights underflowed to zero")
-    shifted = np.exp(log_raw - log_raw.max(axis=1, keepdims=True))
+    shifted = np.exp(log_raw - row_max)
     weights = (shifted / shifted.sum(axis=1, keepdims=True))[:, None, :]
     weight, bias = _step(cfg.optimizer, params0, np.matmul(weights, support["d_weight"])[:, 0],
                          np.matmul(weights, support["d_bias"])[:, 0], cfg.lr)
@@ -357,10 +359,12 @@ def process_batch(
         return Outcomes.from_rows(
             [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch],
             mem.domain_names)
-    # float64s per query: the support stacks and distances (4 d + 10 per entry),
-    # a similarity sort (3 per scanned row), the adapted posterior (8 per class, 4 per dim)
+    # float64s per query: the support stacks and distances (4 d + 10 per entry), the
+    # padded similarity block and its top-k (3 per row of the total capacity C * K, split
+    # or not), the adapted posterior (8 per class, 4 per dim)
     m = min(len(mem), bank.num_classes * cfg.retrieve_k)
-    per_query = (4 * bank.dim + 10) * m + 3 * len(mem) + 8 * bank.num_classes + 4 * bank.dim
+    capacity = mem.num_classes * mem.capacity_per_class
+    per_query = (4 * bank.dim + 10) * m + 3 * capacity + 8 * bank.num_classes + 4 * bank.dim
     adapted, domains = [], []
     for rows in _row_chunks(len(V), per_query):
         support = mem.select(V[rows], cfg.retrieve_k, rng=None if cfg.topk_selection else rng)

@@ -79,7 +79,13 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args.config, datagen.StreamConfig, "stream")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    samples, bank = datagen.generate(cfg)
+    try:
+        samples, bank = datagen.generate(cfg)
+    except (ValueError, MemoryError) as exc:
+        sizes = ", ".join(f"{name}={getattr(cfg, name)}" for name in
+                          ("num_classes", "num_domains", "dim", "samples_per_domain"))
+        raise ValidationError(f"stream config {args.config}: cannot build the stream's arrays "
+                              f"({sizes}): {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.jsonl"

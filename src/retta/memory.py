@@ -32,9 +32,10 @@ request and keeps it until the row is evicted, so a row's entry keeps its
 identity.
 
 `select` serves a whole batch of queries at once: one gemv per query and
-queue (a matrix product would round by the query's place in the batch), a
-top-k per row, and one gather per column the engine reads from the shared
-rows.  `retrieve` and `sample_uniform` are its one-query forms.
+queue (a matrix product would round by the query's place in the batch),
+written into one (queries, queues, longest queue) block padded with -inf,
+one top-k over all its rows, and one gather per column the engine reads from
+the shared rows.  `retrieve` and `sample_uniform` are its one-query forms.
 
 The uniform draw of the no-domain-consistency ablation is pinned to one
 `rng.choice(size, budget, replace=False)` per query and then per queue.
@@ -317,11 +318,21 @@ class ClassMemory:
         if not windows:
             return {}
         cols = self._cols
+        sizes = [w.size for w in windows]
         if rng is None:
-            picks = [_top(np.matmul(cols["z"][w.rows], queries[:, :, None])[:, :, 0], budget)
-                     for w in windows]
+            # one gemv per query and queue into a (B, W, n) block, -inf past a short queue:
+            # padding sits at a row's highest columns and never outranks a similarity
+            B, n = len(queries), max(sizes)
+            sims = np.empty((B, len(windows), n))
+            if min(sizes) < n:
+                sims.fill(-np.inf)
+            for i, w in enumerate(windows):
+                np.matmul(cols["z"][w.rows], queries[:, :, None], out=sims[:, i, : w.size, None])
+            top = _top(sims.reshape(-1, n), budget)
+            top = top.reshape(B, len(windows), top.shape[1])
+            picks = [top[:, i, : min(budget, size)] for i, size in enumerate(sizes)]
         else:
-            picks = _uniform_draws(rng, [w.size for w in windows], budget, len(queries))
+            picks = _uniform_draws(rng, sizes, budget, len(queries))
         rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
         block = {key: cols[key][rows] for key in ("z", "d_bias", "entropy", "domain")}
         block["d_weight"] = block["d_bias"] * block["z"]
@@ -416,25 +427,35 @@ def _per_call_draws(rng: np.random.Generator, sizes: list[int], counts: list[int
 
 
 def _top(sims: np.ndarray, budget: int) -> np.ndarray:
-    """Per row of a (B, n) block, the columns of its `budget` largest values, best first.
+    """Per row of a (R, n) block, the columns of its `budget` largest values, best first.
 
-    Ties go to the higher column, the more recent entry.  In a block of
-    several rows a partition picks each row's top `budget` and only those are
-    sorted.  Whole rows are sorted instead for a single row (cheaper than the
-    partition's fixed cost), when a tie crosses the cut, or when the budget
-    covers the row.
+    Ties go to the higher column, the more recent entry.  `select` passes one
+    row per query and queue.  In a block of several rows a partition picks
+    each row's top `budget` and only those are sorted; a row where a tie
+    crosses the cut (a -inf padded row below the budget among them) is sorted
+    whole instead.  Whole rows are sorted for a single row too (cheaper than
+    the partition's fixed cost), and when the budget covers the row.
     """
-    B, n = sims.shape
+    R, n = sims.shape
     neg = -sims
-    if 1 < B and budget < n:
-        part = np.argpartition(neg, budget - 1, axis=1)[:, :budget]
-        rows = np.arange(B)[:, None]
-        vals = neg[rows, part]
-        if np.count_nonzero(neg <= vals.max(axis=1, keepdims=True)) == part.size:
-            # lexsort: primary key last -> sims descending, then column descending
-            return part[rows, np.lexsort((-part, vals), axis=1)]
-    # a stable sort of the reversed row keeps tied columns newest first
-    return n - 1 - np.argsort(neg[:, ::-1], axis=1, kind="stable")[:, :budget]
+    if R == 1 or budget >= n:
+        return _sorted_top(neg, budget)
+    part = np.argpartition(neg, budget - 1, axis=1)[:, :budget]
+    rows = np.arange(R)[:, None]
+    vals = neg[rows, part]
+    # lexsort: primary key last -> sims descending, then column descending
+    top = part[rows, np.lexsort((-part, vals), axis=1)]
+    within = neg <= vals.max(axis=1, keepdims=True)
+    if np.count_nonzero(within) > part.size:
+        crossing = np.flatnonzero(np.count_nonzero(within, axis=1) > budget)
+        top[crossing] = _sorted_top(neg[crossing], budget)
+    return top
+
+
+def _sorted_top(neg: np.ndarray, budget: int) -> np.ndarray:
+    """`_top` by a whole-row sort of the negated block: a stable sort of the reversed
+    row keeps tied columns newest first."""
+    return neg.shape[1] - 1 - np.argsort(neg[:, ::-1], axis=1, kind="stable")[:, :budget]
 
 
 def weigh(

@@ -310,9 +310,8 @@ class _BadRow(ValueError):
 
 
 def _check_rows(block: np.ndarray, message: str) -> None:
-    finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        raise _BadRow(int(np.argmin(finite)), message)
+    if not np.isfinite(block).all():
+        raise _BadRow(int(np.argmin(np.isfinite(block).all(axis=1))), message)
 
 
 @dataclass(frozen=True)

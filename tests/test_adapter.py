@@ -414,6 +414,33 @@ def test_zero_shot_chunks_name_the_stream_index_of_a_bad_feature(monkeypatch):
         run_zero_shot(stream, bank)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_adapt_block_rejects_exactly_the_rows_whose_raw_weights_sum_to_zero(data):
+    """The underflow check against its literal rule: a batch is rejected when, in some
+    row, exp(log_raw) sums to 0 over the support.  Entropies straddle the edge where
+    exp(-H) underflows (H near 745.13), so some rows underflow in every entry and
+    others in all but a few."""
+    B = data.draw(st.integers(1, 4), label="batch")
+    m = data.draw(st.integers(1, 5), label="support")
+    H = np.array(data.draw(st.lists(st.floats(744.0, 746.5), min_size=B * m, max_size=B * m),
+                           label="entropies")).reshape(B, m)
+    d = 3
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((B, d))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    bank = TextBank(embeddings=np.eye(d), log_temp=0.0, class_names=["a", "b", "c"])
+    support = {"z": np.broadcast_to(V[:, None, :], (B, m, d)), "entropy": H,
+               "d_bias": rng.standard_normal((B, m, d)), "d_weight": rng.standard_normal((B, m, d))}
+    cfg = small_engine_cfg(similarity_weighting=False)
+    params0 = AffineParams.pretrained(d)
+    if np.any(np.exp(-H).sum(axis=1) == 0.0):
+        with pytest.raises(ValueError, match="underflowed to zero"):
+            retta.adapter._adapt_block(V, support, cfg, params0, bank)
+    else:
+        assert retta.adapter._adapt_block(V, support, cfg, params0, bank).logits.shape == (B, d)
+
+
 def test_batch_size_cap_enforced():
     samples, bank = small_stream(n=30)
     cfg = small_engine_cfg(batch_size=4)

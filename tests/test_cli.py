@@ -268,8 +268,10 @@ def test_run_rejects_a_domain_that_is_not_a_string(tmp_path, dataset_dir, capsys
 def test_run_rejects_integer_domains_on_every_row(tmp_path, dataset_dir, capsys):
     # all-int domains sort without error, so only the loader can stop a trace analyze rejects
     path = dataset_dir / "dataset.jsonl"
-    for lineno in range(1, len(path.read_text().splitlines()) + 1):
-        _rewrite_jsonl_row(path, lineno, lambda row: row.update(domain=int(row["domain"][3:])))
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        row.update(domain=int(row["domain"][3:]))
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     acfg = write_adapter_config(tmp_path / "adapter.json")
     code = main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
                  "--config", str(acfg), "--out", str(tmp_path / "x")])
@@ -407,6 +409,18 @@ def test_gen_rejects_a_size_too_large_for_an_array_and_names_it(tmp_path, capsys
     assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 1
     line = _single_error_line(capsys.readouterr().err)
     assert line.startswith(f"error: stream config: {field}: "), line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["samples_per_domain", "dim", "num_classes", "num_domains"])
+def test_gen_names_the_config_when_its_arrays_cannot_be_built(tmp_path, capsys, field):
+    # a size within an array dimension whose arrays still exceed what numpy can allocate
+    cfg_path = write_stream_config(tmp_path / "huge.json", **{field: 2**63 - 1})
+    out = tmp_path / "x"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: stream config {cfg_path}: "), line
+    assert f"{field}={2**63 - 1}" in line
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import retta.memory
 from retta.adapter import aggregate, signsgd_step
 from retta.memory import ClassMemory, MemoryEntry, SupportSet, _uniform_draws, weigh
 from retta.model import AffineParams, GradRecord, TextBank, forward, predict
@@ -477,6 +478,79 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
                                ("d_weight", lambda e: e.grad.d_weight),
                                ("d_bias", lambda e: e.grad.d_bias)):
                 np.testing.assert_array_equal(got[key][i], np.array([value(e) for e in expected]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_select_top_k_matches_a_per_queue_sort_oracle(data):
+    """`select`'s top-k rows equal a plain oracle per query and queue: the queue's
+    embeddings as the test inserted them, oldest first, scored by `z @ q` and sorted
+    best first with ties to the newer entry, the first min(budget, size) kept.
+
+    Queue sizes are unequal (empty queues, queues below the budget, queues that
+    wrapped), and embeddings and queries come from a small pool, so within one block
+    a tie crosses the budget's cut in some rows and not in others.
+    """
+    C = data.draw(st.integers(1, 5), label="classes")
+    K = data.draw(st.integers(1, 8), label="capacity")
+    split = data.draw(st.booleans(), label="split")
+    d = data.draw(st.integers(1, 5), label="dim")
+    B = data.draw(st.integers(1, 6), label="batch")
+    k = data.draw(st.integers(1, 2 * K), label="k")
+    counts = data.draw(st.lists(st.integers(0, 3 * K), min_size=C, max_size=C), label="counts")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pool = [unit(rng, d) for _ in range(data.draw(st.integers(1, 4), label="pool"))]
+    labels = rng.permutation(np.repeat(np.arange(C), counts))
+    z = np.array([pool[int(j)] for j in rng.integers(len(pool), size=len(labels))]).reshape(-1, d)
+    mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
+    cap = K if split else C * K
+    queues = [deque(maxlen=cap) for _ in range(C if split else 1)]
+    start = 0
+    while start < len(labels):
+        stop = start + int(rng.integers(1, 2 * K + 1))
+        r = len(z[start:stop])
+        mem.insert_block(z[start:stop], rng.standard_normal((r, d)), rng.uniform(0.0, 1.2, r),
+                         labels[start:stop], [None] * r)
+        for seq in range(start, min(stop, len(labels))):
+            queues[labels[seq] if split else 0].append((seq, z[seq]))
+        start = stop
+    queries = np.stack([pool[int(rng.integers(len(pool)))] if rng.random() < 0.7
+                        else unit(rng, d) for _ in range(B)])
+
+    block = mem.select(queries, k)
+    if not len(labels):
+        assert block == {}
+        return
+    budget = k if split else C * k
+    for b, query in enumerate(queries):
+        expected = []
+        for queue in queues:
+            if queue:
+                sims = np.stack([zq for _, zq in queue]) @ query
+                ranked = sorted(range(len(queue)), key=lambda j: (-sims[j], -j))
+                expected.extend(queue[j] for j in ranked[:budget])
+        assert block["rows"].shape == (B, len(expected))
+        np.testing.assert_array_equal(block["z"][b], np.array([zq for _, zq in expected]))
+        assert [e.seq for e in mem.entries(block["rows"][b])] == [seq for seq, _ in expected]
+
+
+def test_select_ranks_every_queue_in_one_top_call(monkeypatch):
+    """A deterministic counter beside the timings: on a warm 4-queue memory one `select`
+    makes one `_top` call over every (query, queue) row, for one query and for several."""
+    rng = np.random.default_rng(14)
+    mem = ClassMemory(num_classes=4, capacity_per_class=10)
+    for c in range(4):
+        for _ in range(10):
+            mem.insert(entry(rng), pseudo_label=c)
+    shapes = []
+    top = retta.memory._top
+    monkeypatch.setattr(retta.memory, "_top",
+                        lambda sims, budget: shapes.append(sims.shape) or top(sims, budget))
+    for B in (1, 3):
+        shapes.clear()
+        block = mem.select(np.stack([unit(rng, 4) for _ in range(B)]), k=5)
+        assert block["rows"].shape == (B, 20)
+        assert shapes == [(4 * B, 10)]
 
 
 # ---------------------------------------------------------------- uniform draw
