@@ -17,9 +17,10 @@ budget.  The per-sample engine (`adapt_and_predict` with `weigh`,
 `aggregate` and `aggregate_recomputed`) is the oracle it is checked and
 timed against; the recomputing mode of `process_batch` runs it.
 
-The engines take a `Stream` (a list of samples is converted once) and slice
-its feature rows; they return one `Outcomes`, whose fields are arrays with a
-row per sample.  An `AdaptOutcome` is built only for a row that is indexed.
+The engines take a `Stream` and slice its feature rows; they return one
+`Outcomes`, whose fields are arrays with a row per sample.  An `AdaptOutcome`
+is built only for a row that is indexed, and a `Sample` only for the
+per-sample oracle.
 
 Two reference engines live here as well: an online entropy-minimization
 baseline that keeps mutating one parameter set across batches (and must
@@ -43,7 +44,6 @@ from .model import (
     Stream,
     TextBank,
     _check_field_types,
-    as_stream,
     batch_grads,
     concat_posteriors,
     domain_codes,
@@ -328,7 +328,7 @@ def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConf
 
 
 def process_batch(
-    batch: Stream | list[Sample],
+    batch: Stream,
     mem: ClassMemory,
     cfg: AdapterConfig,
     bank: TextBank,
@@ -343,8 +343,13 @@ def process_batch(
     `recompute_grads` runs the per-sample reference engine
     (`adapt_and_predict`), which recomputes every support gradient.
     Support domains are coded as in `mem.domain_names`.
+
+    A list of `Sample` is taken too, for perfbench's `online` loop that passes
+    `[sample]`: `Stream.from_samples`, the one conversion left in the package,
+    converts it and names the first sample of the wrong dim.
     """
-    batch = as_stream(batch, bank.dim)
+    if not isinstance(batch, Stream):
+        batch = Stream.from_samples(batch, bank.dim)
     if len(batch) > cfg.batch_size:
         raise ValueError(f"batch of {len(batch)} exceeds configured batch_size {cfg.batch_size}")
     if rng is None:
@@ -377,13 +382,12 @@ def process_batch(
 
 
 def run_stream(
-    stream: Stream | list[Sample],
+    stream: Stream,
     cfg: AdapterConfig,
     bank: TextBank,
     recompute_grads: bool = False,
 ) -> Outcomes:
     """Run the full cached-adaptation engine over a stream, batch by batch."""
-    stream = as_stream(stream, bank.dim)
     if not len(stream):
         return Outcomes.unadapted(_zero_shot(stream.features, bank))
     mem = ClassMemory(
@@ -398,9 +402,7 @@ def run_stream(
         for start in range(0, len(stream), cfg.batch_size)])
 
 
-def run_entropy_baseline(
-    stream: Stream | list[Sample], cfg: AdapterConfig, bank: TextBank
-) -> Outcomes:
+def run_entropy_baseline(stream: Stream, cfg: AdapterConfig, bank: TextBank) -> Outcomes:
     """Online entropy minimization with one persistent parameter set (no reset).
 
     Per batch: mean entropy gradient at the current parameters (recomputed
@@ -408,7 +410,6 @@ def run_entropy_baseline(
     pretrained parameters), one SignSGD step, then predict the batch with the
     updated parameters.
     """
-    stream = as_stream(stream, bank.dim)
     params = AffineParams.pretrained(bank.dim)
     adapted = []
     for start in range(0, len(stream), cfg.batch_size):
@@ -421,9 +422,9 @@ def run_entropy_baseline(
                               concat_posteriors(adapted) if adapted else None)
 
 
-def run_zero_shot(stream: Stream | list[Sample], bank: TextBank) -> Outcomes:
+def run_zero_shot(stream: Stream, bank: TextBank) -> Outcomes:
     """Predict every sample at the pretrained parameters, where the embedding is the feature."""
-    return Outcomes.unadapted(_zero_shot(as_stream(stream, bank.dim).features, bank))
+    return Outcomes.unadapted(_zero_shot(stream.features, bank))
 
 
 def _zero_shot(V: np.ndarray, bank: TextBank) -> Posterior:

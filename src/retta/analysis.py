@@ -22,7 +22,6 @@ import numpy as np
 
 from .adapter import (
     AdapterConfig,
-    AdaptOutcome,
     Outcomes,
     adapt_and_predict,
     gd_step,
@@ -32,10 +31,8 @@ from .memory import ClassMemory
 from .model import (
     AffineParams,
     GradRecord,
-    Sample,
     Stream,
     TextBank,
-    as_stream,
     create_file,
     forward,
     predict,
@@ -112,20 +109,15 @@ def composition_matrix(query: np.ndarray, support: np.ndarray, num_domains: int)
 
 
 def evaluate(
-    samples: Stream | list[Sample],
-    outcomes: Outcomes | list[AdaptOutcome],
-    same_domain_ratio_bins: np.ndarray | None = None,
+    stream: Stream, outcomes: Outcomes, same_domain_ratio_bins: np.ndarray | None = None
 ) -> EvalReport:
     """Score a run: per-domain accuracy, macro average, and support composition.
 
     The macro average is the unweighted mean over domains.  Invariant to the
     order of (sample, outcome) pairs.
     """
-    stream = as_stream(samples)
     if len(stream) != len(outcomes):
         raise ValueError("need exactly one outcome per sample")
-    if not isinstance(outcomes, Outcomes):
-        outcomes = Outcomes.from_rows(outcomes)
     missing = (stream.labels < 0) | (stream.domains < 0)
     if missing.any():
         raise ValueError(f"sample {int(np.argmax(missing))} is missing true_label or domain_id")
@@ -153,7 +145,7 @@ def _recode(index: dict[str, int], names: tuple[str, ...], codes: np.ndarray) ->
 
 
 def similarity_bins(
-    samples: Stream | list[Sample],
+    stream: Stream,
     num_bins: int = 10,
     max_pairs: int = 1_000_000,
     seed: int = 0,
@@ -167,7 +159,6 @@ def similarity_bins(
     Similarities are computed `_PAIR_CHUNK` pairs at a time and no pair is
     ranked individually, so memory holds a few arrays of one value per pair.
     """
-    stream = as_stream(samples)
     dom_codes = stream.domains
     if (dom_codes < 0).any():
         raise ValueError(f"sample {int(np.argmax(dom_codes < 0))} has no domain_id")
@@ -309,7 +300,7 @@ def bias_gradient_check(features: list[np.ndarray], bank: TextBank) -> float:
 
 
 def bench_cache(
-    stream: list[Sample],
+    stream: Stream,
     cfg: AdapterConfig,
     bank: TextBank,
     num_queries: int = 100,
@@ -318,13 +309,14 @@ def bench_cache(
 
     The memory is warmed with the whole stream first; both engines are then
     run over the same queries and their adapted logits asserted identical
-    before anything is timed.
+    before anything is timed.  The queries are the stream's first rows, built as
+    `Sample`s before the timers start.
     """
     mem = ClassMemory(bank.num_classes, cfg.capacity_per_class, split=cfg.split_memory)
     rng = np.random.default_rng(cfg.seed)
     for start in range(0, len(stream), cfg.batch_size):
         process_batch(stream[start : start + cfg.batch_size], mem, cfg, bank, rng=rng)
-    queries = stream[: min(num_queries, len(stream))]
+    queries = list(stream[: min(num_queries, len(stream))])
 
     for q in queries:
         cached = adapt_and_predict(q, mem, cfg, bank, rng=rng, recompute_grads=False)

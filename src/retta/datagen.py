@@ -14,15 +14,19 @@ The difficulty is fixed: the constants below were calibrated once, and the
 repository's trend tests are frozen against them.  A `StreamConfig` sets only
 the shape of the stream.
 
-`load_jsonl` reads a dataset file into one `Stream` of arrays: it parses and
-type-checks each line, then checks finiteness and norm over the stacked
-block, with the exact per-row rule for any row the block check cannot pass.
+`generate` builds its stream as one `Stream` of arrays, a domain's rows at a
+time, and `order_stream` and `save_jsonl` work on its rows.  `load_jsonl`
+reads a dataset file into one `Stream`: it parses and type-checks each line,
+then checks finiteness and norm over the stacked block, with the exact
+per-row rule for any row the block check cannot pass; the generated block
+goes through the same check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +34,6 @@ import numpy as np
 
 from .model import (
     UNIT_NORM_TOL,
-    Sample,
     Stream,
     TextBank,
     _check_field_types,
@@ -190,54 +193,56 @@ def _anchor(cfg: StreamConfig) -> np.ndarray:
     return a
 
 
-def generate(cfg: StreamConfig) -> tuple[list[Sample], TextBank]:
+def generate(cfg: StreamConfig) -> tuple[Stream, TextBank]:
     """Generate a labeled stream and its text bank, deterministic under the seed.
 
-    Samples come back already ordered per `cfg.ordering`.
+    The rows come back already ordered per `cfg.ordering`, domains coded in
+    sorted name order.  Each domain's rows are computed as one block, with the
+    arithmetic of one row at a time: the same elementwise operations in the
+    same order, and each row divided by its own `np.linalg.norm`.
     """
     rng = np.random.default_rng(cfg.seed)
     protos = _class_prototypes(cfg, rng)
     markers, masks = _domain_shifts(cfg, rng)
     anchor = _anchor(cfg)
-    samples: list[Sample] = []
+    n = cfg.samples_per_domain
+    blocks, labels = [], []
     for j in range(cfg.num_domains):
         # domains alternate between benign (small context offsets, few blanks)
         # and hostile (strong context bias, many unreliable captures)
         severity = 1.0 + _DOMAIN_HETEROGENEITY * (1.0 if j % 2 else -1.0)
         shift = _SHIFT_SCALE * markers[j]
-        domain_id = f"dom{j}"
         # recurring per-class contexts: related captures of the same subject
         contexts = severity * _CLUSTER_SIGMA * rng.standard_normal(
             (cfg.num_classes, _CLUSTERS_PER_CLASS, cfg.dim)
         )
-        labels = rng.choice(
-            cfg.num_classes, size=cfg.samples_per_domain, p=_domain_class_probs(cfg, j)
+        domain_labels = rng.choice(cfg.num_classes, size=n, p=_domain_class_probs(cfg, j))
+        clusters = rng.integers(_CLUSTERS_PER_CLASS, size=n)
+        noise = _WITHIN_SIGMA * rng.standard_normal((n, cfg.dim))
+        outlier = rng.random(n) < _OUTLIER_FRACTION
+        blank = rng.random(n) < severity * _BLANK_FRACTION
+        scale = np.where(outlier, _OUTLIER_SCALE, 1.0)[:, None]
+        # blanks carry almost no class evidence and only loosely follow
+        # their context, but keep the domain marker: unreliable captures
+        # that still circulate through every neighborhood of their domain
+        evidence = np.where(blank, _BLANK_EVIDENCE, 1.0)[:, None]
+        attachment = np.where(blank, _BLANK_CONTEXT, 1.0)[:, None]
+        sig = (
+            evidence * masks[j] * protos[domain_labels]
+            + shift
+            + attachment * contexts[domain_labels, clusters]
+            + scale * noise
         )
-        clusters = rng.integers(_CLUSTERS_PER_CLASS, size=cfg.samples_per_domain)
-        noise = _WITHIN_SIGMA * rng.standard_normal((cfg.samples_per_domain, cfg.dim))
-        outlier = rng.random(cfg.samples_per_domain) < _OUTLIER_FRACTION
-        blank = rng.random(cfg.samples_per_domain) < severity * _BLANK_FRACTION
-        for i in range(cfg.samples_per_domain):
-            scale = _OUTLIER_SCALE if outlier[i] else 1.0
-            # blanks carry almost no class evidence and only loosely follow
-            # their context, but keep the domain marker: unreliable captures
-            # that still circulate through every neighborhood of their domain
-            evidence = _BLANK_EVIDENCE if blank[i] else 1.0
-            attachment = _BLANK_CONTEXT if blank[i] else 1.0
-            sig = (
-                evidence * masks[j] * protos[labels[i]]
-                + shift
-                + attachment * contexts[labels[i], clusters[i]]
-                + scale * noise[i]
-            )
-            x = anchor + _SIGNAL_SCALE * sig
-            samples.append(
-                Sample(
-                    feature=x / np.linalg.norm(x),
-                    true_label=int(labels[i]),
-                    domain_id=domain_id,
-                )
-            )
+        x = anchor + _SIGNAL_SCALE * sig
+        blocks.append(x / np.array([np.linalg.norm(row) for row in x])[:, None])
+        labels.append(domain_labels)
+    names = tuple(sorted(f"dom{j}" for j in range(cfg.num_domains)))
+    code = {name: c for c, name in enumerate(names)}
+    features = np.concatenate(blocks)
+    # the loader's check, a row named by its 1-based place in generation order
+    stream = Stream(_unit_rows(features, cfg.dim, range(1, len(features) + 1), False),
+                    np.concatenate(labels).astype(np.int64),
+                    np.repeat([code[f"dom{j}"] for j in range(cfg.num_domains)], n), names)
     # uneven anchor alignment gives the zero-shot classifier a systematic
     # class prior (low-index classes over-predicted), as real text banks do
     align = 1.0 + _TEXT_ANCHOR_SPREAD * np.linspace(0.5, -0.5, cfg.num_classes)
@@ -248,38 +253,33 @@ def generate(cfg: StreamConfig) -> tuple[list[Sample], TextBank]:
         log_temp=_LOG_TEMP,
         class_names=[f"class{c}" for c in range(cfg.num_classes)],
     )
-    return order_stream(samples, cfg.ordering, cfg.seed), bank
+    return order_stream(stream, cfg.ordering, cfg.seed), bank
 
 
-def order_stream(samples: list[Sample], ordering: str, seed: int) -> list[Sample]:
-    """Permute a stream: 'mixed' is a global shuffle, 'sequential' keeps
-    domains contiguous (in first-appearance order) and shuffles within each."""
+def order_stream(stream: Stream, ordering: str, seed: int) -> Stream:
+    """Permute a stream's rows: 'mixed' is a global shuffle, 'sequential' keeps
+    domains contiguous (in first-appearance order, the rows without a domain
+    as one) and shuffles within each."""
     rng = np.random.default_rng(seed)
     if ordering == "mixed":
-        perm = rng.permutation(len(samples))
-        return [samples[i] for i in perm]
+        return stream[rng.permutation(len(stream))]
     if ordering == "sequential":
-        by_domain: dict[str | None, list[Sample]] = {}
-        for s in samples:
-            by_domain.setdefault(s.domain_id, []).append(s)
-        out: list[Sample] = []
-        for group in by_domain.values():
-            perm = rng.permutation(len(group))
-            out.extend(group[i] for i in perm)
-        return out
+        codes = stream.domains
+        firsts = np.sort(np.unique(codes, return_index=True)[1])
+        groups = [np.flatnonzero(codes == code) for code in codes[firsts]]
+        return stream[np.concatenate([np.arange(0)] + [g[rng.permutation(len(g))] for g in groups])]
     raise ValueError(f"ordering: must be 'mixed' or 'sequential', got '{ordering}'")
 
 
-def save_jsonl(samples: list[Sample], path: str | Path) -> None:
-    """One sample per line: {"v": [...], "label": int, "domain": str}."""
+def save_jsonl(stream: Stream, path: str | Path) -> None:
+    """One sample per line: {"v": [...], "label": int, "domain": str}; a row without a
+    label or domain writes null."""
+    names = [*stream.domain_names, None]  # code -1 is the last
     with create_file(path) as fh:
-        for s in samples:
-            rec = {
-                "v": [float(x) for x in s.feature],
-                "label": s.true_label,
-                "domain": s.domain_id,
-            }
-            fh.write(json.dumps(rec))
+        for v, label, code in zip(stream.features.tolist(), stream.labels.tolist(),
+                                  stream.domains.tolist()):
+            fh.write(json.dumps({"v": v, "label": None if label < 0 else label,
+                                 "domain": names[code]}))
             fh.write("\n")
 
 
@@ -348,9 +348,9 @@ def load_jsonl(
                   np.array([code.get(d, -1) for d in domains], dtype=np.int64), tuple(names))
 
 
-def _unit_rows(vectors: list[list], dim: int | None, linenos: list[int],
+def _unit_rows(vectors: list[list] | np.ndarray, dim: int | None, linenos: Sequence[int],
                renormalize: bool) -> np.ndarray:
-    """The vectors (each of dim `dim`) as an (n, dim) block of finite, unit-norm rows, as
+    """The vectors (rows of dim `dim`) as a new (n, dim) block of finite, unit-norm rows, as
     `_ensure_unit` and `Sample` leave them, or a ValueError naming the first bad row's line.
 
     One vectorized norm passes the rows clearly inside the 1e-9 tolerance.  It

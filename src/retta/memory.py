@@ -243,7 +243,7 @@ class ClassMemory:
         The pseudo-labels must come from the zero-shot classifier at pretrained
         parameters, the model state the cached values belong to.  Only labels
         and dims are checked, naming the first bad row, and a bad block changes
-        nothing: the stream's loader or `Sample` has checked each feature's norm
+        nothing: the loader's block check or `Sample` has checked each feature's norm
         and `model.posterior` that every logit and gradient row is finite.
         `domains` holds each row's domain name or None; the column keeps its code.
         """

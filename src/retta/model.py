@@ -10,8 +10,10 @@ exactly (and can cross-check against central finite differences).
 
 A `Stream` carries a whole stream as arrays (features, labels, domain codes
 and names) and a `Posterior` the predictions of a block of rows; a per-row
-`Sample` or `Prediction` is built only when a row is indexed.  `create_file`
-is the one way the package opens a file for writing.
+`Sample` or `Prediction` is built only when a row is indexed.  `Stream` is the
+one stream type from the generator and the loader to the report; a `Sample`
+is one row of it, what the per-sample oracle engine takes.  `create_file` is
+the one way the package opens a file for writing.
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ class TextBank:
 
     def __post_init__(self):
         _check_field_types(self, reals=("log_temp",))
+        try:
+            math.exp(self.log_temp)
+        except OverflowError:
+            raise ValueError(f"log_temp {self.log_temp!r} is too large: its exp, the logit "
+                             "scale, overflows a float") from None
         if not (isinstance(self.class_names, list)
                 and all(isinstance(name, str) for name in self.class_names)):
             raise ValueError(f"class_names must be a list of strings, got {self.class_names!r}")
@@ -180,7 +187,8 @@ class Sample:
     """One unit-norm feature from the stream.
 
     `true_label` and `domain_id` exist for evaluation only; the adaptation
-    path never reads them.
+    path never reads them.  A label is None or an integer in [0, 2**63), a
+    domain None or a string: what a `Stream` row holds unchanged.
     """
 
     feature: np.ndarray
@@ -189,6 +197,12 @@ class Sample:
 
     def __post_init__(self):
         object.__setattr__(self, "feature", _unit_feature(self.feature))
+        label = self.true_label
+        if label is not None and (isinstance(label, bool) or not isinstance(label, numbers.Integral)
+                                  or not 0 <= label < 2**63):
+            raise ValueError(f"true_label must be None or an integer in [0, 2**63), got {label!r}")
+        if self.domain_id is not None and not isinstance(self.domain_id, str):
+            raise ValueError(f"domain_id must be None or a string, got {self.domain_id!r}")
 
 
 def _unit_feature(feature) -> np.ndarray:
@@ -208,9 +222,10 @@ class Stream:
 
     `features` is (n, d) with unit-norm rows, `labels` holds -1 for a row
     without a label, and `domains` holds codes into `domain_names`, -1 for a
-    row without a domain.  The constructor trusts its arrays: `from_samples`
-    and `datagen.load_jsonl` check every row.  An integer index gives that
-    row's `Sample`, a slice a `Stream` over views of the rows.
+    row without a domain.  The constructor trusts its arrays: `from_samples`,
+    `datagen.generate` and `datagen.load_jsonl` check every row.  An integer
+    index gives that row's `Sample`; a slice or an index array gives a
+    `Stream` of those rows.
     """
 
     features: np.ndarray
@@ -240,7 +255,7 @@ class Stream:
         return len(self.labels)
 
     def __getitem__(self, rows):
-        if isinstance(rows, slice):
+        if isinstance(rows, (slice, np.ndarray)):
             return Stream(self.features[rows], self.labels[rows], self.domains[rows],
                           self.domain_names)
         label, code = int(self.labels[rows]), int(self.domains[rows])
@@ -259,11 +274,6 @@ def domain_codes(rows: list, names: tuple[str, ...]) -> np.ndarray:
     for i, row in enumerate(rows):
         codes[i, :len(row)] = [index.get(name, -1) for name in row]
     return codes
-
-
-def as_stream(samples: Stream | list[Sample], dim: int | None = None) -> Stream:
-    """`samples` as a `Stream`: a stream as it is, a list through `Stream.from_samples`."""
-    return samples if isinstance(samples, Stream) else Stream.from_samples(samples, dim)
 
 
 @dataclass(frozen=True)
@@ -395,16 +405,13 @@ def sample_grad(feature: np.ndarray, params: AffineParams, bank: TextBank) -> Gr
     return GradRecord(d_weight=post.d_weight[0], d_bias=post.d_bias[0])
 
 
-def batch_grads(
-    batch: Stream | list[Sample] | np.ndarray, params: AffineParams, bank: TextBank
-) -> Posterior:
-    """Posterior and entropy gradients (`d_weight`, `d_bias`) of each sample, rows in order.
+def batch_grads(V: np.ndarray, params: AffineParams, bank: TextBank) -> Posterior:
+    """Posterior and entropy gradients (`d_weight`, `d_bias`) of each row of a (B, d)
+    feature block, rows in order.
 
-    `batch` is a stream, a list of samples or a (B, d) block of features.  One
-    `posterior` pass over the batch; every element is computed on its own, so
-    the output is identical for any partitioning of the batch.
+    One `posterior` pass over the batch; every element is computed on its own,
+    so the output is identical for any partitioning of the batch.
     """
-    V = batch if isinstance(batch, np.ndarray) else as_stream(batch, params.dim).features
     if not len(V):
         raise ValueError("batch must be non-empty")
     try:

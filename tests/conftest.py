@@ -1,6 +1,22 @@
-"""Shared test settings: hypothesis draws the same examples on every run."""
+"""Shared test settings: hypothesis draws the same examples on every run, and every run's
+log names the Python and numpy the suite ran on."""
 
+import platform
+
+import numpy as np
 from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# memory._uniform_draws replays numpy's Generator.choice; its tests check the numpy named here
+VERSIONS = f"retta tests ran on Python {platform.python_version()}, numpy {np.__version__}"
+
+
+def pytest_report_header(config):
+    return VERSIONS
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if config.get_verbosity() < 0:  # -q drops the report header, so say it at the end
+        terminalreporter.write_line(VERSIONS)

@@ -29,6 +29,7 @@ from retta.model import (
     AffineParams,
     GradRecord,
     Sample,
+    Stream,
     TextBank,
     batch_grads,
     forward,
@@ -345,7 +346,7 @@ def test_selected_gradients_are_bitwise_the_gradient_pass_of_their_sample(data):
     cfg = small_engine_cfg(capacity_per_class=data.draw(st.integers(1, 6), label="capacity"),
                            batch_size=40, split_memory=data.draw(st.booleans(), label="split"))
     k = data.draw(st.integers(1, 8), label="k")
-    grads = batch_grads(samples, AffineParams.pretrained(bank.dim), bank)
+    grads = batch_grads(samples.features, AffineParams.pretrained(bank.dim), bank)
     mem = ClassMemory(bank.num_classes, cfg.capacity_per_class, split=cfg.split_memory)
     rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
     start = 0
@@ -408,10 +409,10 @@ def test_row_chunks_leave_results_bitwise_unchanged(monkeypatch, variant):
 def test_zero_shot_chunks_name_the_stream_index_of_a_bad_feature(monkeypatch):
     samples, bank = small_stream(n=20)
     short = np.ones(bank.dim - 1) / np.sqrt(bank.dim - 1)
-    stream = samples[:13] + [Sample(feature=short)] + samples[13:]
+    rows = [*samples[:13], Sample(feature=short), *samples[13:]]
     monkeypatch.setattr(retta.adapter, "_BLOCK_BYTES", 1)
     with pytest.raises(ValueError, match="batch element 13: feature dim"):
-        run_zero_shot(stream, bank)
+        run_zero_shot(Stream.from_samples(rows, bank.dim), bank)
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,7 +465,7 @@ def test_entropy_baseline_first_step_is_mean_batch_gradient():
     samples, bank = small_stream(n=20)
     cfg = small_engine_cfg(batch_size=20)
     params0 = AffineParams.pretrained(bank.dim)
-    post = batch_grads(samples, params0, bank)
+    post = batch_grads(samples.features, params0, bank)
     mean_g = GradRecord(np.mean(post.d_weight, axis=0), np.mean(post.d_bias, axis=0))
     stepped = signsgd_step(params0, mean_g, cfg.lr)
     expected = [predict(forward(s.feature, stepped), bank) for s in samples]

@@ -72,7 +72,7 @@ def test_all_correct_predictions_score_one():
     rng = np.random.default_rng(0)
     samples = [labeled_sample(rng, 4, i % 3, f"dom{i % 2}") for i in range(30)]
     outcomes = [fake_outcome(s.true_label, s.true_label) for s in samples]
-    report = evaluate(samples, outcomes)
+    report = evaluate(Stream.from_samples(samples), Outcomes.from_rows(outcomes))
     assert report.macro_average == 1.0
     assert report.overall_accuracy == 1.0
     assert all(v == 1.0 for v in report.per_domain_accuracy.values())
@@ -82,7 +82,7 @@ def test_single_domain_composition_is_all_diagonal():
     rng = np.random.default_rng(1)
     samples = [labeled_sample(rng, 4, 0, "only") for _ in range(10)]
     outcomes = [fake_outcome(0, 0, support_domains=("only", "only")) for _ in samples]
-    report = evaluate(samples, outcomes)
+    report = evaluate(Stream.from_samples(samples), Outcomes.from_rows(outcomes))
     assert report.composition_matrix.shape == (1, 1)
     np.testing.assert_allclose(report.composition_matrix, [[100.0]], atol=1e-9)
 
@@ -93,7 +93,7 @@ def test_macro_average_is_unweighted_over_domains():
     samples = [labeled_sample(rng, 4, 0, "domA") for _ in range(10)]
     samples += [labeled_sample(rng, 4, 0, "domB") for _ in range(30)]
     outcomes = [fake_outcome(0, 0) for _ in range(10)] + [fake_outcome(1, 1) for _ in range(30)]
-    report = evaluate(samples, outcomes)
+    report = evaluate(Stream.from_samples(samples), Outcomes.from_rows(outcomes))
     assert report.macro_average == pytest.approx(0.5)
     assert report.overall_accuracy == pytest.approx(0.25)
 
@@ -107,10 +107,11 @@ def test_composition_rows_sum_to_100_and_evaluation_is_order_invariant():
         samples.append(labeled_sample(rng, 4, i % 2, d))
         sup = tuple(rng.choice(domains, size=4))
         outcomes.append(fake_outcome(i % 2, i % 2, support_domains=sup))
-    report = evaluate(samples, outcomes)
+    stream, outcomes = Stream.from_samples(samples), Outcomes.from_rows(outcomes)
+    report = evaluate(stream, outcomes)
     np.testing.assert_allclose(report.composition_matrix.sum(axis=1), 100.0, atol=1e-6)
     perm = np.random.default_rng(0).permutation(len(samples))
-    shuffled = evaluate([samples[i] for i in perm], [outcomes[i] for i in perm])
+    shuffled = evaluate(stream[perm], outcomes[perm])
     np.testing.assert_allclose(shuffled.composition_matrix, report.composition_matrix, atol=1e-9)
     assert shuffled.per_domain_accuracy == report.per_domain_accuracy
 
@@ -119,9 +120,10 @@ def test_evaluate_requires_labels_and_matching_lengths():
     rng = np.random.default_rng(4)
     good = labeled_sample(rng, 4, 0, "d")
     with pytest.raises(ValueError, match="missing"):
-        evaluate([Sample(feature=good.feature)], [fake_outcome(0, 0)])
+        evaluate(Stream.from_samples([Sample(feature=good.feature)]),
+                 Outcomes.from_rows([fake_outcome(0, 0)]))
     with pytest.raises(ValueError, match="one outcome per sample"):
-        evaluate([good], [])
+        evaluate(Stream.from_samples([good]), Outcomes.from_rows([]))
 
 
 def loop_composition_matrix(domains, rows):
@@ -262,7 +264,7 @@ def test_separated_domain_clusters_fill_extreme_bins():
         v = base + 0.01 * rng.standard_normal(8)
         samples.append(Sample(feature=v / np.linalg.norm(v),
                               true_label=0, domain_id="A" if i % 2 == 0 else "B"))
-    bins = similarity_bins(samples, seed=0)
+    bins = similarity_bins(Stream.from_samples(samples), seed=0)
     assert bins[0] == 1.0
     assert bins[-1] == 0.0
 
@@ -271,7 +273,7 @@ def test_domain_agnostic_embeddings_give_flat_bins():
     rng = np.random.default_rng(6)
     samples = [Sample(feature=unit(rng, 16), true_label=0,
                       domain_id=f"d{i % 4}") for i in range(400)]
-    bins = similarity_bins(samples, seed=0)
+    bins = similarity_bins(Stream.from_samples(samples), seed=0)
     # same-domain base rate is ~1/4 in every decile
     assert np.all(np.abs(bins - 0.25) < 0.08)
 
@@ -280,13 +282,13 @@ def test_bins_require_two_domains():
     rng = np.random.default_rng(7)
     samples = [Sample(feature=unit(rng, 4), true_label=0, domain_id="only")] * 5
     with pytest.raises(ValueError, match="2 domains"):
-        similarity_bins(samples)
+        similarity_bins(Stream.from_samples(samples))
 
 
 def test_bins_subsampling_is_seeded_and_stable():
     rng = np.random.default_rng(8)
-    samples = [Sample(feature=unit(rng, 8), true_label=0, domain_id=f"d{i % 2}")
-               for i in range(300)]
+    samples = Stream.from_samples([Sample(feature=unit(rng, 8), true_label=0,
+                                          domain_id=f"d{i % 2}") for i in range(300)])
     a = similarity_bins(samples, max_pairs=2000, seed=1)
     b = similarity_bins(samples, max_pairs=2000, seed=1)
     np.testing.assert_array_equal(a, b)
@@ -333,7 +335,8 @@ def test_bins_equal_the_stable_argsort_oracle_bitwise(data):
     num_bins = data.draw(st.integers(1, 12), label="num_bins")
     max_pairs = data.draw(st.integers(0, total + 10), label="max_pairs")
     seed = data.draw(st.integers(0, 2**16), label="pair_seed")
-    got = similarity_bins(samples, num_bins=num_bins, max_pairs=max_pairs, seed=seed)
+    got = similarity_bins(Stream.from_samples(samples), num_bins=num_bins, max_pairs=max_pairs,
+                          seed=seed)
     want = stable_argsort_bins(samples, num_bins=num_bins, max_pairs=max_pairs, seed=seed)
     assert got.tobytes() == want.tobytes()
 

@@ -460,6 +460,17 @@ def test_run_rejects_a_malformed_text_bank_field(tmp_path, dataset_dir, capsys, 
     assert field in _single_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("method", ["zeroshot", "retta"])
+def test_run_rejects_a_log_temp_whose_scale_overflows(tmp_path, dataset_dir, capsys, method):
+    _set_text_bank_field(dataset_dir, "log_temp", 1000.0)
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    code = main(["run", "--dataset", str(dataset_dir), "--method", method,
+                 "--config", str(acfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert f"{dataset_dir / 'textbank.json'}: " in line and "log_temp" in line
+
+
 def _set_first_dataset_entry(dataset_dir, value):
     path = dataset_dir / "dataset.jsonl"
     lines = path.read_text().splitlines()

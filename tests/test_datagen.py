@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -84,6 +85,72 @@ def test_generator_output_is_unit_norm_with_valid_labels():
     assert all(c == cfg.samples_per_domain for c in counts.values())
 
 
+def per_row_generate(cfg):
+    """The oracle for `generate`'s stream: one `Sample` per row, as the generator built it
+    before it returned a `Stream`, ordered by `per_sample_order`."""
+    rng = np.random.default_rng(cfg.seed)
+    protos = datagen._class_prototypes(cfg, rng)
+    markers, masks = datagen._domain_shifts(cfg, rng)
+    anchor = datagen._anchor(cfg)
+    samples = []
+    for j in range(cfg.num_domains):
+        severity = 1.0 + datagen._DOMAIN_HETEROGENEITY * (1.0 if j % 2 else -1.0)
+        shift = datagen._SHIFT_SCALE * markers[j]
+        contexts = severity * datagen._CLUSTER_SIGMA * rng.standard_normal(
+            (cfg.num_classes, datagen._CLUSTERS_PER_CLASS, cfg.dim))
+        n = cfg.samples_per_domain
+        labels = rng.choice(cfg.num_classes, size=n, p=datagen._domain_class_probs(cfg, j))
+        clusters = rng.integers(datagen._CLUSTERS_PER_CLASS, size=n)
+        noise = datagen._WITHIN_SIGMA * rng.standard_normal((n, cfg.dim))
+        outlier = rng.random(n) < datagen._OUTLIER_FRACTION
+        blank = rng.random(n) < severity * datagen._BLANK_FRACTION
+        for i in range(n):
+            scale = datagen._OUTLIER_SCALE if outlier[i] else 1.0
+            evidence = datagen._BLANK_EVIDENCE if blank[i] else 1.0
+            attachment = datagen._BLANK_CONTEXT if blank[i] else 1.0
+            sig = (evidence * masks[j] * protos[labels[i]] + shift
+                   + attachment * contexts[labels[i], clusters[i]] + scale * noise[i])
+            x = anchor + datagen._SIGNAL_SCALE * sig
+            samples.append(Sample(x / np.linalg.norm(x), int(labels[i]), f"dom{j}"))
+    return per_sample_order(samples, cfg.ordering, cfg.seed)
+
+
+@settings(max_examples=40)
+@given(C=st.integers(2, 12), D=st.integers(1, 12), dim=st.integers(2, 40), n=st.integers(1, 20),
+       ordering=st.sampled_from(["mixed", "sequential"]), seed=st.integers(0, 2**16))
+def test_generate_equals_the_per_row_oracle_bitwise(C, D, dim, n, ordering, seed):
+    cfg = StreamConfig(num_classes=C, num_domains=D, dim=dim, samples_per_domain=n,
+                       ordering=ordering, seed=seed)
+    got, _ = generate(cfg)
+    want = Stream.from_samples(per_row_generate(cfg))
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.domains.tobytes() == want.domains.tobytes()
+    assert got.domain_names == want.domain_names
+
+
+# sha256 of the feature block's bytes, of the int64 labels and of the domain names in row
+# order (joined by newlines), for `reference_stream_config(0, ordering)`.  The trend floors
+# of the acceptance suite are frozen against these streams.
+REFERENCE_DIGESTS = {
+    "mixed": ("f50c26a04ddd65bcee69bec60a2a19b417f7369d3e09d4e3d72337af2ba2da9c",
+              "a74fc76869624fb952c9424ed8e8261fdfcb15a86451e420cdc2e0495ddc24ae",
+              "e6b81c9684ea5265367d3b813feb6766c9d49e1bd3100fe7458462cb9ca000e9"),
+    "sequential": ("0633d234ffb7a45fa1378a0abe831636ed84a5fef05789ebe9d8833135f5bb3d",
+                   "586fc6bc4c9911485a0d596d95f82d81a4fba1524bb36c14fa4e1e51bf9e7f3f",
+                   "ae5151555d90eee87dbf3a6029812d96a1df6994c1df387c99b44d510f83278f"),
+}
+
+
+@pytest.mark.parametrize("ordering", sorted(REFERENCE_DIGESTS))
+def test_reference_stream_bytes_are_pinned(ordering):
+    stream, _ = generate(reference_stream_config(0, ordering))
+    names = "\n".join(stream.domain_names[c] for c in stream.domains.tolist())
+    got = tuple(hashlib.sha256(data).hexdigest() for data in (
+        stream.features.tobytes(), stream.labels.astype(np.int64).tobytes(), names.encode()))
+    assert got == REFERENCE_DIGESTS[ordering]
+
+
 def test_text_bank_rows_are_unit_and_match_class_count():
     cfg = tiny_cfg()
     _, bank = generate(cfg)
@@ -125,12 +192,45 @@ def test_sequential_ordering_keeps_domains_contiguous():
 
 def test_mixed_ordering_is_a_reproducible_permutation():
     samples, _ = generate(tiny_cfg(ordering="sequential"))
+    index = {row.tobytes(): i for i, row in enumerate(samples.features)}
+    assert len(index) == len(samples)  # every row is distinct, so its bytes name it
+
+    def rows(stream):
+        return [index[row.tobytes()] for row in stream.features]
+
     a = order_stream(samples, "mixed", seed=3)
     b = order_stream(samples, "mixed", seed=3)
-    assert [id(s) for s in a] == [id(s) for s in b]
-    assert sorted(id(s) for s in a) == sorted(id(s) for s in samples)
+    assert rows(a) == rows(b)
+    assert sorted(rows(a)) == list(range(len(samples)))
     c = order_stream(samples, "mixed", seed=4)
-    assert [id(s) for s in a] != [id(s) for s in c]
+    assert rows(a) != rows(c)
+
+
+def per_sample_order(samples, ordering, seed):
+    """The oracle for `order_stream`: the same generator calls on a list of samples,
+    grouped per domain in a dict (rows without a domain as the key None)."""
+    rng = np.random.default_rng(seed)
+    if ordering == "mixed":
+        return [samples[i] for i in rng.permutation(len(samples))]
+    by_domain = {}
+    for s in samples:
+        by_domain.setdefault(s.domain_id, []).append(s)
+    out = []
+    for group in by_domain.values():
+        out.extend(group[i] for i in rng.permutation(len(group)))
+    return out
+
+
+@settings(max_examples=100)
+@given(domains=st.lists(st.sampled_from([None, "b", "a", "c"]), max_size=30),
+       ordering=st.sampled_from(["mixed", "sequential"]), seed=st.integers(0, 2**16))
+def test_order_stream_equals_the_per_sample_oracle(domains, ordering, seed):
+    feature = np.eye(2)[0]
+    samples = [Sample(feature, i, domain) for i, domain in enumerate(domains)]
+    got = order_stream(Stream.from_samples(samples, 2), ordering, seed)
+    want = per_sample_order(samples, ordering, seed)
+    assert [(s.true_label, s.domain_id) for s in got] == [
+        (s.true_label, s.domain_id) for s in want]
 
 
 def test_mixed_ordering_spreads_domains_uniformly_over_batches():
@@ -162,6 +262,22 @@ def test_round_trip_is_exact(tmp_path):
     for a, b in zip(samples, loaded):
         np.testing.assert_array_equal(a.feature, b.feature)
         assert a.true_label == b.true_label and a.domain_id == b.domain_id
+
+
+def test_rows_without_a_label_or_domain_round_trip_as_null(tmp_path):
+    rng = np.random.default_rng(0)
+    samples = [Sample(v / np.linalg.norm(v), label, domain) for v, label, domain in zip(
+        rng.standard_normal((4, 3)), [None, 2, 0, None], ["b", None, "a", None])]
+    path = tmp_path / "stream.jsonl"
+    save_jsonl(Stream.from_samples(samples), path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["label"], r["domain"]) for r in rows] == [
+        (None, "b"), (2, None), (0, "a"), (None, None)]
+    assert [r["v"] for r in rows] == [[float(x) for x in s.feature] for s in samples]
+    loaded = load_jsonl(path)
+    assert [(s.true_label, s.domain_id) for s in loaded] == [
+        (s.true_label, s.domain_id) for s in samples]
+    assert loaded.features.tobytes() == Stream.from_samples(samples).features.tobytes()
 
 
 def test_empty_file_loads_as_empty_stream(tmp_path):

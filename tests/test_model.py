@@ -12,6 +12,7 @@ from retta.model import (
     AffineParams,
     GradRecord,
     Sample,
+    Stream,
     TextBank,
     _ensure_unit,
     batch_grads,
@@ -217,7 +218,7 @@ def test_batch_of_one_equals_single_sample_path():
     bank = random_bank(rng, 4, 8)
     s = Sample(random_unit(rng, 8))
     params = AffineParams.pretrained(8)
-    post = batch_grads([s], params, bank)
+    post = batch_grads(s.feature[None, :], params, bank)
     expected_pred = predict(forward(s.feature, params), bank)
     expected_grad = sample_grad(s.feature, params, bank)
     np.testing.assert_array_equal(post.logits[0], expected_pred.logits)
@@ -227,7 +228,7 @@ def test_batch_of_one_equals_single_sample_path():
 def test_batch_split_and_concatenate_is_identical():
     rng = np.random.default_rng(6)
     bank = random_bank(rng, 4, 8)
-    batch = [Sample(random_unit(rng, 8)) for _ in range(10)]
+    batch = Stream.from_samples([Sample(random_unit(rng, 8)) for _ in range(10)]).features
     params = AffineParams(rng.uniform(0.8, 1.2, 8), rng.uniform(-0.1, 0.1, 8))
     whole = batch_grads(batch, params, bank)
     halves = [batch_grads(batch[:5], params, bank), batch_grads(batch[5:], params, bank)]
@@ -241,7 +242,7 @@ def test_batch_matches_serial_loop_bitwise():
     bank = random_bank(rng, 10, 32)
     params = AffineParams(rng.uniform(0.8, 1.2, 32), rng.uniform(-0.1, 0.1, 32))
     batch = [Sample(random_unit(rng, 32)) for _ in range(100)]
-    post = batch_grads(batch, params, bank)
+    post = batch_grads(Stream.from_samples(batch).features, params, bank)
     for i, s in enumerate(batch):
         np.testing.assert_array_equal(post.probs[i],
                                       predict(forward(s.feature, params), bank).probs)
@@ -251,17 +252,16 @@ def test_batch_matches_serial_loop_bitwise():
 
 
 def test_batch_error_names_the_offending_element():
-    bank = TextBank(np.eye(2), 0.0, ["a", "b"])
     good = Sample(np.array([1.0, 0.0]))
-    bad = Sample(np.array([1.0, 0.0, 0.0, 0.0]))  # wrong dim for this bank
+    bad = Sample(np.array([1.0, 0.0, 0.0, 0.0]))  # wrong dim for these params
     with pytest.raises(ValueError, match="batch element 1"):
-        batch_grads([good, bad], AffineParams.pretrained(2), bank)
+        Stream.from_samples([good, bad], AffineParams.pretrained(2).dim)
 
 
 def test_batch_rejects_empty():
     bank = TextBank(np.eye(2), 0.0, ["a", "b"])
     with pytest.raises(ValueError, match="non-empty"):
-        batch_grads([], AffineParams.pretrained(2), bank)
+        batch_grads(np.empty((0, 2)), AffineParams.pretrained(2), bank)
 
 
 # ---------------------------------------------------------------- types
@@ -314,6 +314,34 @@ def test_ensure_unit_keeps_the_bits_of_rows_with_a_finite_norm():
 def test_sample_rejects_off_unit_feature():
     with pytest.raises(ValueError, match="norm"):
         Sample(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("label", [2.7, 1.0, True, False, -3, 2**63, "1",
+                                   np.float64(2.0)])
+def test_sample_rejects_a_label_the_stream_would_change(label):
+    with pytest.raises(ValueError, match="true_label"):
+        Sample(np.array([1.0, 0.0]), true_label=label)
+
+
+@pytest.mark.parametrize("domain", [3, np.int64(3), b"dom0", ("dom0",)])
+def test_sample_rejects_a_domain_that_is_not_a_string(domain):
+    with pytest.raises(ValueError, match="domain_id"):
+        Sample(np.array([1.0, 0.0]), domain_id=domain)
+
+
+def test_sample_keeps_every_label_and_domain_it_accepts():
+    samples = [Sample(np.array([1.0, 0.0]), true_label=np.int64(2), domain_id="b"),
+               Sample(np.array([0.0, 1.0]), true_label=0, domain_id=None),
+               Sample(np.array([0.0, 1.0]), true_label=None, domain_id="a")]
+    stream = Stream.from_samples(samples)
+    assert [(s.true_label, s.domain_id) for s in stream] == [(2, "b"), (0, None), (None, "a")]
+
+
+def test_text_bank_rejects_a_log_temp_whose_scale_overflows():
+    TextBank(np.eye(2), 709.0, ["a", "b"])  # exp(709) is still a finite float
+    for log_temp in (710.0, 1000.0):
+        with pytest.raises(ValueError, match="log_temp"):
+            TextBank(np.eye(2), log_temp, ["a", "b"])
 
 
 def test_text_bank_rejects_off_unit_rows():
