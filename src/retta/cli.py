@@ -1,8 +1,12 @@
 """Command-line surface: generate datasets, run methods, verify, analyze.
 
 Every command writes a manifest.json next to its outputs with the fully
-resolved configuration (defaults included), input paths, and SHA-256 hashes
-of every written artifact, so a run can be audited and reproduced exactly.
+resolved configuration (defaults included), input paths, the Python, numpy
+and retta versions, and SHA-256 hashes of every written artifact, so a run
+can be audited and reproduced exactly.  A run also hashes the two dataset
+files it read; `analyze` copies the run's bins.csv only when those hashes,
+the seed, the numpy and retta versions and the file's own hash prove it
+current, and recomputes it otherwise.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
@@ -12,13 +16,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import adapter, analysis, datagen, model
+from . import __version__, adapter, analysis, datagen, model
 
 # the run method of each engine variant: "retta" for the full engine, "retta-<variant>"
 _VARIANT_OF = {"retta" if v == "full" else f"retta-{v}": v for v in adapter.VARIANTS}
@@ -58,6 +63,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _environment() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__, "retta": __version__}
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
                     outputs: list[Path], seed: int, method: str | None = None) -> Path:
     manifest = {
@@ -67,6 +76,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
         "config": config,
         "inputs": inputs,
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+        "environment": _environment(),
     }
     path = out_dir / "manifest.json"
     with model.create_file(path) as fh:
@@ -104,6 +114,9 @@ def cmd_gen(args) -> int:
     )
     print(f"wrote {len(stream)} samples to {dataset_path}")
     return 0
+
+
+_DATASET_FILES = ("dataset.jsonl", "textbank.json")  # what a run reads, and hashes
 
 
 def _load_dataset(dataset_dir: str, renormalize: bool):
@@ -153,6 +166,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     stream, bank = _load_dataset(args.dataset, args.renormalize)
+    digests = {name: _sha256(Path(args.dataset) / name) for name in _DATASET_FILES}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -167,7 +181,7 @@ def cmd_run(args) -> int:
         command="run",
         config=asdict(cfg),
         inputs={"dataset": str(args.dataset), "config": str(args.config),
-                "renormalize": args.renormalize},
+                "renormalize": args.renormalize, "sha256": digests},
         outputs=written,
         seed=cfg.seed,
         method=args.method,
@@ -177,8 +191,37 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _recorded_bins(run_dir: Path, recorded: dict, digests: dict, dataset_dir: str,
+                   seed: int) -> str | None:
+    """The run's bins.csv text if recomputing it would give the same bytes, else None.
+
+    That holds when the run recorded the seed, the numpy and retta versions and
+    the hashes (`digests`) of the dataset files that analyze would use, and of
+    its bins.csv as it is now.  The run's `renormalize` is the one analyze loads with.
+    """
+    environment = recorded.get("environment")
+    outputs = recorded.get("outputs")
+    bins_path = run_dir / "bins.csv"
+    if (not digests or seed != recorded.get("seed") or not isinstance(environment, dict)
+            or environment.get("numpy") != np.__version__
+            or environment.get("retta") != __version__
+            or not isinstance(outputs, dict) or not bins_path.is_file()):
+        return None
+    for name in _DATASET_FILES:
+        path = Path(dataset_dir) / name
+        if not path.is_file() or _sha256(path) != digests.get(name):
+            return None
+    data = bins_path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != outputs.get("bins.csv"):
+        return None
+    return data.decode()
+
+
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run)
+    if Path(args.out).resolve() == run_dir.resolve():
+        raise ValidationError(f"--out {args.out} is the run directory; analyze would "
+                              "overwrite the run's manifest.json")
     trace_path = run_dir / "trace.jsonl"
     if not trace_path.exists():
         raise ValidationError(f"trace not found: {trace_path}")
@@ -216,19 +259,28 @@ def cmd_analyze(args) -> int:
     dataset_dir = args.dataset if args.dataset is not None else inputs.get("dataset")
     seed = args.seed if args.seed is not None else recorded.get("seed", 0)
     renormalize = inputs.get("renormalize", False)
+    digests = inputs.get("sha256", {})
     if (isinstance(seed, bool) or not isinstance(seed, int) or not isinstance(renormalize, bool)
-            or not isinstance(dataset_dir, (str, type(None)))):
+            or not isinstance(dataset_dir, (str, type(None))) or not isinstance(digests, dict)
+            or not all(isinstance(h, str) for h in digests.values())):
         raise ValidationError(f"{manifest_path}: 'seed' must be an integer, "
-                              "'inputs.renormalize' a boolean and 'inputs.dataset' a string")
-    stream = None
+                              "'inputs.renormalize' a boolean, 'inputs.dataset' a string and "
+                              "'inputs.sha256' an object of strings")
+    stream = reused = None
     if dataset_dir is not None:
-        stream, _ = _load_dataset(dataset_dir, renormalize=renormalize)
+        reused = _recorded_bins(run_dir, recorded, digests, dataset_dir, seed)
+        if reused is None:
+            stream, _ = _load_dataset(dataset_dir, renormalize=renormalize)
 
     order = tuple(sorted(set(domains)))
     composition = analysis.composition_matrix(model.domain_codes([domains], order)[0],
                                               model.domain_codes(supports, order), len(order))
     written = [analysis.write_composition_csv(out_dir / "composition.csv", order, composition)]
-    if stream is not None:
+    if reused is not None:
+        with model.create_file(out_dir / "bins.csv", newline="") as fh:
+            fh.write(reused)
+        written.append(out_dir / "bins.csv")
+    elif stream is not None:
         written.append(analysis.write_bins_csv(out_dir / "bins.csv",
                                                _similarity_bins(stream, seed)))
 
@@ -236,7 +288,7 @@ def cmd_analyze(args) -> int:
         out_dir,
         command="analyze",
         config={},
-        inputs={"run": str(args.run), "dataset": str(dataset_dir), "renormalize": renormalize},
+        inputs={"run": str(args.run), "dataset": dataset_dir, "renormalize": renormalize},
         outputs=written,
         seed=seed,
     )
@@ -346,7 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_analyze = sub.add_parser("analyze", help="recompute diagnostics from run artifacts")
+    p_analyze = sub.add_parser(
+        "analyze", help="recompute diagnostics from run artifacts",
+        description="Recompute composition.csv from the run's trace, and bins.csv from the "
+        "dataset. The run's bins.csv is copied instead when the run manifest's hashes of the "
+        "dataset files and of bins.csv, its seed and its numpy and retta versions all match.")
     p_analyze.add_argument("--run", required=True, help="run directory (from run)")
     p_analyze.add_argument("--out", required=True, help="output directory")
     p_analyze.add_argument("--dataset", default=None,

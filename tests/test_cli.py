@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import platform
+import shutil
 
+import numpy as np
 import pytest
 
-from retta.cli import main
+import retta
+from retta import analysis, datagen
+from retta.cli import _load_dataset, _similarity_bins, main
 
 
 def write_stream_config(path, **overrides):
@@ -345,6 +351,155 @@ def test_analyze_loads_the_dataset_as_a_renormalized_run_did(tmp_path, dataset_d
     assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
 
 
+def _edit_manifest(run_dir, edit):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    edit(manifest)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _strip_input_hashes(run_dir):
+    _edit_manifest(run_dir, lambda manifest: manifest["inputs"].pop("sha256"))
+
+
+def test_analyze_recomputes_the_bins_of_a_seeded_run_without_input_hashes(tmp_path):
+    cfg_path = write_stream_config(tmp_path / "stream.json", samples_per_domain=720)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(data), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir), "--seed", "3"]) == 0
+    _strip_input_hashes(run_dir)
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
+
+
+def test_analyze_recomputes_a_renormalized_run_without_input_hashes(tmp_path, dataset_dir):
+    _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 1,
+                       lambda row: row.update(v=[2.0 * x for x in row["v"]]))
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir), "--renormalize"]) == 0
+    _strip_input_hashes(run_dir)
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
+
+
+def _edit_run_bins(run_dir):
+    path = run_dir / "bins.csv"
+    path.write_bytes(path.read_bytes().replace(b",0.", b",1.", 1))
+
+
+def _given_copy(tmp_path, run_dir, data):
+    shutil.copytree(data, tmp_path / "copy")
+    return ["--dataset", str(tmp_path / "copy")]
+
+
+# each case edits the run or its dataset after the run, and returns extra analyze flags
+_REUSE_CASES = {
+    "unchanged": (True, lambda tmp_path, run_dir, data: []),
+    "same-seed-given": (True, lambda tmp_path, run_dir, data: ["--seed", "0"]),
+    "same-dataset-copy-given": (True, _given_copy),
+    "dataset-edited": (False, lambda tmp_path, run_dir, data: _rewrite_jsonl_row(
+        data / "dataset.jsonl", 3, lambda row: row.update(v=[-x for x in row["v"]]))),
+    "textbank-edited": (False, lambda tmp_path, run_dir, data: _set_text_bank_field(
+        data, "log_temp", 1.0)),
+    "other-seed-given": (False, lambda tmp_path, run_dir, data: ["--seed", "5"]),
+    "bins-edited": (False, lambda tmp_path, run_dir, data: _edit_run_bins(run_dir)),
+    "numpy-version-changed": (False, lambda tmp_path, run_dir, data: _edit_manifest(
+        run_dir, lambda m: m["environment"].update(numpy="0.0.1"))),
+    "retta-version-changed": (False, lambda tmp_path, run_dir, data: _edit_manifest(
+        run_dir, lambda m: m["environment"].update(retta="0.0.1"))),
+    "no-input-hashes": (False, lambda tmp_path, run_dir, data: _strip_input_hashes(run_dir)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REUSE_CASES))
+def test_analyze_reuses_the_run_bins_only_when_the_manifest_proves_them_current(
+        tmp_path, dataset_dir, monkeypatch, case):
+    reused, edit = _REUSE_CASES[case]
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    run_bins = (run_dir / "bins.csv").read_bytes()
+    flags = edit(tmp_path, run_dir, dataset_dir) or []
+
+    calls = {"load_jsonl": 0, "similarity_bins": 0}
+    for module, name in ((datagen, "load_jsonl"), (analysis, "similarity_bins")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out), *flags]) == 0
+    expected = {"load_jsonl": 0, "similarity_bins": 0} if reused else \
+        {"load_jsonl": 1, "similarity_bins": 1}
+    assert calls == expected
+    monkeypatch.undo()
+
+    # the oracle: the bins recomputed from the dataset analyze used, with its seed
+    seed = int(flags[flags.index("--seed") + 1]) if "--seed" in flags else 0
+    dataset = flags[1] if flags[:1] == ["--dataset"] else dataset_dir
+    oracle = analysis.write_bins_csv(tmp_path / "oracle.csv",
+                                     _similarity_bins(_load_dataset(dataset, False)[0], seed))
+    assert (out / "bins.csv").read_bytes() == oracle.read_bytes()
+    if reused:
+        assert (out / "bins.csv").read_bytes() == run_bins
+    assert (out / "composition.csv").read_bytes() == (run_dir / "composition.csv").read_bytes()
+
+
+def test_analyze_rejects_a_text_bank_edited_into_an_invalid_one(tmp_path, dataset_dir, capsys):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    _set_text_bank_field(dataset_dir, "embeddings", 2.0)
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
+    assert "textbank.json" in _single_error_line(capsys.readouterr().err)
+
+
+def test_analyze_rejects_the_run_directory_as_out_and_writes_nothing(tmp_path, dataset_dir,
+                                                                     capsys):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir), "--out", f"{run_dir}/../run"]) == 1
+    assert "--out" in _single_error_line(capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_analyze_records_a_null_dataset_when_it_has_none(tmp_path, dataset_dir):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    (run_dir / "manifest.json").unlink()
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["inputs"]["dataset"] is None
+    assert not (out / "bins.csv").exists()
+
+
+def test_manifests_record_the_environment_and_run_its_input_hashes(tmp_path, dataset_dir):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "retta": retta.__version__}
+    for directory in (dataset_dir, run_dir, out):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["environment"] == environment
+    recorded = json.loads((run_dir / "manifest.json").read_text())["inputs"]["sha256"]
+    assert recorded == {name: hashlib.sha256((dataset_dir / name).read_bytes()).hexdigest()
+                        for name in ("dataset.jsonl", "textbank.json")}
+
+
 @pytest.mark.parametrize("source", ["given", "recorded"])
 def test_analyze_rejects_a_missing_dataset(tmp_path, dataset_dir, capsys, source):
     acfg = write_adapter_config(tmp_path / "adapter.json")
@@ -370,8 +525,10 @@ def test_analyze_rejects_a_missing_dataset(tmp_path, dataset_dir, capsys, source
     lambda m: m.update(inputs=["data"]),
     lambda m: m["inputs"].update(dataset=5),
     lambda m: "{not json",
+    lambda m: m["inputs"].update(sha256="abc"),
+    lambda m: m["inputs"].update(sha256={"dataset.jsonl": 5, "textbank.json": "abc"}),
 ], ids=["string-seed", "bool-seed", "string-renormalize", "inputs-not-an-object",
-        "integer-dataset", "not-json"])
+        "integer-dataset", "not-json", "string-sha256", "non-string-sha256-value"])
 def test_analyze_rejects_a_malformed_run_manifest(tmp_path, dataset_dir, capsys, edit):
     # `edit` changes the recorded manifest in place, or returns the text to write instead
     acfg = write_adapter_config(tmp_path / "adapter.json")
