@@ -43,6 +43,7 @@ from .model import (
     Sample,
     Stream,
     TextBank,
+    _BadRow,
     _check_field_types,
     batch_grads,
     concat_posteriors,
@@ -90,6 +91,8 @@ class AdapterConfig:
             raise ValueError("lr must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.optimizer not in ("signsgd", "gd"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if not self.topk_selection and self.beta != 0.0:
@@ -324,7 +327,15 @@ def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConf
     weights = (shifted / shifted.sum(axis=1, keepdims=True))[:, None, :]
     weight, bias = _step(cfg.optimizer, params0, np.matmul(weights, support["d_weight"])[:, 0],
                          np.matmul(weights, support["d_bias"])[:, 0], cfg.lr)
-    return posterior(V * weight + bias, bank)
+    return _adapted_posterior(V * weight + bias, bank, cfg.lr)
+
+
+def _adapted_posterior(Z: np.ndarray, bank: TextBank, lr: float) -> Posterior:
+    """`posterior` of an adapted embedding block; non-finite logits there come from the step."""
+    try:
+        return posterior(Z, bank)
+    except _BadRow:
+        raise ValueError(f"adapted logits are not finite: lr {lr!r} is too large") from None
 
 
 def process_batch(
@@ -364,12 +375,13 @@ def process_batch(
         return Outcomes.from_rows(
             [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch],
             mem.domain_names)
-    # float64s per query: the support stacks and distances (4 d + 10 per entry), the
-    # padded similarity block and its top-k (3 per row of the total capacity C * K, split
-    # or not), the adapted posterior (8 per class, 4 per dim)
+    # float64s per query: the support stacks and distances (4 d + 10 per entry); 4 per row
+    # of the total capacity C * K (split or not) for the padded similarity block, `_top`'s
+    # partition (or negated) copy and int64 tie count (or sort order), and its at most 5
+    # bool masks (1 together); the adapted posterior (8 per class, 4 per dim)
     m = min(len(mem), bank.num_classes * cfg.retrieve_k)
     capacity = mem.num_classes * mem.capacity_per_class
-    per_query = (4 * bank.dim + 10) * m + 3 * capacity + 8 * bank.num_classes + 4 * bank.dim
+    per_query = (4 * bank.dim + 10) * m + 4 * capacity + 8 * bank.num_classes + 4 * bank.dim
     adapted, domains = [], []
     for rows in _row_chunks(len(V), per_query):
         support = mem.select(V[rows], cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
@@ -417,7 +429,7 @@ def run_entropy_baseline(stream: Stream, cfg: AdapterConfig, bank: TextBank) -> 
         post = posterior(forward(V, params), bank, V)
         mean_grad = GradRecord(post.d_weight.mean(axis=0), post.d_bias.mean(axis=0))
         params = signsgd_step(params, mean_grad, cfg.lr)
-        adapted.append(posterior(forward(V, params), bank))
+        adapted.append(_adapted_posterior(forward(V, params), bank, cfg.lr))
     return Outcomes.unadapted(_zero_shot(stream.features, bank),
                               concat_posteriors(adapted) if adapted else None)
 

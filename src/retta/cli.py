@@ -167,12 +167,13 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     stream, bank = _load_dataset(args.dataset, args.renormalize)
     digests = {name: _sha256(Path(args.dataset) / name) for name in _DATASET_FILES}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    outcomes = _run_method(args.method, stream, cfg, bank)
+    # an overflowing step (a huge lr) fails on its non-finite logits, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = _run_method(args.method, stream, cfg, bank)
     bins = _similarity_bins(stream, cfg.seed)
     report = analysis.evaluate(stream, outcomes, same_domain_ratio_bins=bins)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = analysis.write_report_files(report, out_dir)
     written.append(analysis.write_trace(out_dir / "trace.jsonl", stream, outcomes))
 
@@ -225,8 +226,6 @@ def cmd_analyze(args) -> int:
     trace_path = run_dir / "trace.jsonl"
     if not trace_path.exists():
         raise ValidationError(f"trace not found: {trace_path}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     domains, supports = [], []
     with open(trace_path) as fh:
@@ -260,10 +259,11 @@ def cmd_analyze(args) -> int:
     seed = args.seed if args.seed is not None else recorded.get("seed", 0)
     renormalize = inputs.get("renormalize", False)
     digests = inputs.get("sha256", {})
-    if (isinstance(seed, bool) or not isinstance(seed, int) or not isinstance(renormalize, bool)
+    if (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+            or not isinstance(renormalize, bool)
             or not isinstance(dataset_dir, (str, type(None))) or not isinstance(digests, dict)
             or not all(isinstance(h, str) for h in digests.values())):
-        raise ValidationError(f"{manifest_path}: 'seed' must be an integer, "
+        raise ValidationError(f"{manifest_path}: 'seed' must be a non-negative integer, "
                               "'inputs.renormalize' a boolean, 'inputs.dataset' a string and "
                               "'inputs.sha256' an object of strings")
     stream = reused = None
@@ -272,6 +272,8 @@ def cmd_analyze(args) -> int:
         if reused is None:
             stream, _ = _load_dataset(dataset_dir, renormalize=renormalize)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     order = tuple(sorted(set(domains)))
     composition = analysis.composition_matrix(model.domain_codes([domains], order)[0],
                                               model.domain_codes(supports, order), len(order))
@@ -416,6 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:  # before any command writes a file
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ValidationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,6 +107,8 @@ class StreamConfig:
             raise ValueError("dim: need at least 2 dimensions")
         if self.samples_per_domain < 1:
             raise ValueError("samples_per_domain: must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be non-negative, got {self.seed}")
         if self.ordering not in ("mixed", "sequential"):
             raise ValueError(f"ordering: must be 'mixed' or 'sequential', got '{self.ordering}'")
 

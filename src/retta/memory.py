@@ -34,8 +34,9 @@ identity.
 `select` serves a whole batch of queries at once: one gemv per query and
 queue (a matrix product would round by the query's place in the batch),
 written into one (queries, queues, longest queue) block padded with -inf,
-one top-k over all its rows, and one gather per column the engine reads from
-the shared rows.  `retrieve` and `sample_uniform` are its one-query forms.
+one top-k over all its rows by a threshold (`_top`), and one `take` per
+column read from the shared rows.  `retrieve` and `sample_uniform` are its
+one-query forms.
 
 The uniform draw of the no-domain-consistency ablation is pinned to one
 `rng.choice(size, budget, replace=False)` per query and then per queue.
@@ -334,7 +335,7 @@ class ClassMemory:
         else:
             picks = _uniform_draws(rng, sizes, budget, len(queries))
         rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
-        block = {key: cols[key][rows] for key in ("z", "d_bias", "entropy", "domain")}
+        block = {key: cols[key].take(rows, axis=0) for key in ("z", "d_bias", "entropy", "domain")}
         block["d_weight"] = block["d_bias"] * block["z"]
         block["rows"] = rows
         return block
@@ -429,33 +430,31 @@ def _per_call_draws(rng: np.random.Generator, sizes: list[int], counts: list[int
 def _top(sims: np.ndarray, budget: int) -> np.ndarray:
     """Per row of a (R, n) block, the columns of its `budget` largest values, best first.
 
-    Ties go to the higher column, the more recent entry.  `select` passes one
-    row per query and queue.  In a block of several rows a partition picks
-    each row's top `budget` and only those are sorted; a row where a tie
-    crosses the cut (a -inf padded row below the budget among them) is sorted
-    whole instead.  Whole rows are sorted for a single row too (cheaper than
-    the partition's fixed cost), and when the budget covers the row.
+    Ties go to the higher column, the more recent entry.  In a block of several
+    rows one partition gives each row's budget-th largest value; the columns at or
+    above it are kept, the oldest tied ones dropped where a tie crosses it (a -inf
+    padded row below the budget too), and only those are sorted.  A single row, or
+    a budget that covers the row, is sorted whole (cheaper there).
     """
     R, n = sims.shape
-    neg = -sims
     if R == 1 or budget >= n:
-        return _sorted_top(neg, budget)
-    part = np.argpartition(neg, budget - 1, axis=1)[:, :budget]
-    rows = np.arange(R)[:, None]
-    vals = neg[rows, part]
-    # lexsort: primary key last -> sims descending, then column descending
-    top = part[rows, np.lexsort((-part, vals), axis=1)]
-    within = neg <= vals.max(axis=1, keepdims=True)
-    if np.count_nonzero(within) > part.size:
-        crossing = np.flatnonzero(np.count_nonzero(within, axis=1) > budget)
-        top[crossing] = _sorted_top(neg[crossing], budget)
-    return top
+        return _sorted_top(sims, budget)
+    cut = np.partition(sims, n - budget, axis=1)[:, n - budget, None]
+    keep = sims >= cut
+    if np.count_nonzero(keep) > R * budget:
+        tied = sims == cut
+        newer_ties = tied[:, ::-1].cumsum(axis=1)[:, ::-1]  # at this column or after it
+        spare = budget - np.count_nonzero(sims > cut, axis=1, keepdims=True)
+        keep &= ~tied | (newer_ties <= spare)
+    flat = keep.ravel().nonzero()[0]  # np.flatnonzero, without its Python-level wrapper
+    order = _sorted_top(sims.ravel()[flat].reshape(R, budget), budget)
+    return (flat % n).reshape(R, budget)[np.arange(R)[:, None], order]
 
 
-def _sorted_top(neg: np.ndarray, budget: int) -> np.ndarray:
-    """`_top` by a whole-row sort of the negated block: a stable sort of the reversed
-    row keeps tied columns newest first."""
-    return neg.shape[1] - 1 - np.argsort(neg[:, ::-1], axis=1, kind="stable")[:, :budget]
+def _sorted_top(sims: np.ndarray, budget: int) -> np.ndarray:
+    """`_top` by a whole-row sort: a stable sort of the negated reversed row keeps
+    tied columns newest first."""
+    return sims.shape[1] - 1 - (-sims[:, ::-1]).argsort(axis=1, kind="stable")[:, :budget]
 
 
 def weigh(

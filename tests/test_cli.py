@@ -527,8 +527,10 @@ def test_analyze_rejects_a_missing_dataset(tmp_path, dataset_dir, capsys, source
     lambda m: "{not json",
     lambda m: m["inputs"].update(sha256="abc"),
     lambda m: m["inputs"].update(sha256={"dataset.jsonl": 5, "textbank.json": "abc"}),
+    lambda m: m.update(seed=-1),
 ], ids=["string-seed", "bool-seed", "string-renormalize", "inputs-not-an-object",
-        "integer-dataset", "not-json", "string-sha256", "non-string-sha256-value"])
+        "integer-dataset", "not-json", "string-sha256", "non-string-sha256-value",
+        "negative-seed"])
 def test_analyze_rejects_a_malformed_run_manifest(tmp_path, dataset_dir, capsys, edit):
     # `edit` changes the recorded manifest in place, or returns the text to write instead
     acfg = write_adapter_config(tmp_path / "adapter.json")
@@ -541,6 +543,7 @@ def test_analyze_rejects_a_malformed_run_manifest(tmp_path, dataset_dir, capsys,
     capsys.readouterr()
     assert main(["analyze", "--run", str(run_dir), "--out", str(tmp_path / "analysis")]) == 1
     assert "manifest.json" in _single_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "analysis").exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -668,3 +671,59 @@ def test_run_rejects_an_integer_too_large_for_a_float(tmp_path, dataset_dir, cap
                  "--config", str(acfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert name in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "analyze", "verify"])
+def test_a_negative_seed_flag_is_rejected_by_name_before_anything_is_written(
+        tmp_path, dataset_dir, capsys, command):
+    scfg = write_stream_config(tmp_path / "stream.json")
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    out = str(tmp_path / "x")
+    argv = {"gen": ["--config", str(scfg), "--out", out],
+            "run": ["--dataset", str(dataset_dir), "--method", "retta", "--config", str(acfg),
+                    "--out", out],
+            "analyze": ["--run", str(run_dir), "--out", out],
+            "verify": ["--suite", "grad"]}[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--seed", "-1"]) == 1
+    out_text, err = capsys.readouterr()
+    assert _single_error_line(err) == "error: --seed must be non-negative, got -1"
+    assert not out_text
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_a_negative_config_seed_is_rejected_by_name_and_writes_nothing(
+        tmp_path, dataset_dir, capsys, command):
+    out = tmp_path / "x"
+    if command == "gen":
+        cfg = write_stream_config(tmp_path / "stream.json", seed=-1)
+        argv = ["gen", "--config", str(cfg), "--out", str(out)]
+        expected = "error: stream config: seed: must be non-negative, got -1"
+    else:
+        cfg = write_adapter_config(tmp_path / "adapter.json", seed=-1)
+        argv = ["run", "--dataset", str(dataset_dir), "--method", "retta", "--config", str(cfg),
+                "--out", str(out)]
+        expected = "error: adapter config: seed must be non-negative, got -1"
+    assert main(argv) == 1
+    assert _single_error_line(capsys.readouterr().err) == expected
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method, optimizer", [
+    ("retta", "signsgd"), ("retta-no-dc", "signsgd"), ("entmin", "signsgd"), ("retta", "gd")])
+def test_run_names_lr_in_one_line_when_the_adapted_logits_overflow(
+        tmp_path, dataset_dir, capsys, method, optimizer):
+    acfg = write_adapter_config(tmp_path / "adapter.json", lr=1e308, optimizer=optimizer)
+    out = tmp_path / "x"
+    code = main(["run", "--dataset", str(dataset_dir), "--method", method,
+                 "--config", str(acfg), "--out", str(out)])
+    assert code == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "adapted logits are not finite" in line and "lr 1e+308" in line
+    assert not out.exists()

@@ -553,6 +553,52 @@ def test_select_ranks_every_queue_in_one_top_call(monkeypatch):
         assert shapes == [(4 * B, 10)]
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_top_matches_a_per_row_sort_oracle(data):
+    """`_top` equals a plain per-row sort, best first with ties to the higher column.
+
+    Values come from a pool of 1-5, so ties are common and often cross the budget's
+    cut, with 0.0 and -0.0 (equal, so tied) in some pools; rows are padded with -inf
+    at their high columns to any length, below the budget too, as `select` pads a
+    short queue.  Per row the first min(budget, finite count) columns are compared,
+    the ones `select` keeps.
+    """
+    R = data.draw(st.integers(1, 40), label="rows")
+    n = data.draw(st.integers(1, 60), label="columns")
+    budget = data.draw(st.integers(1, 70), label="budget")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pool = rng.standard_normal(data.draw(st.integers(1, 5), label="pool"))
+    if data.draw(st.booleans(), label="signed zeros"):
+        pool[:2] = [0.0, -0.0][: len(pool)]
+    sims = rng.choice(pool, size=(R, n))
+    finite = data.draw(st.lists(st.integers(0, n), min_size=R, max_size=R), label="finite")
+    for row, count in zip(sims, finite):
+        row[count:] = -np.inf
+
+    top = retta.memory._top(sims.copy(), budget)
+    assert top.shape == (R, min(budget, n))
+    for v, count, got in zip(sims, finite, top):
+        ranked = sorted(range(n), key=lambda j: (-v[j], -j))
+        keep = min(budget, count)
+        assert got[:keep].tolist() == ranked[:keep]
+
+
+def test_top_ranks_a_block_by_one_partition_of_its_values(monkeypatch):
+    """A deterministic counter beside the timings: on a (400, 100) block with budget 5,
+    `_top` makes one `np.partition` call and no `np.argpartition` or `np.lexsort` call."""
+    calls = {"partition": 0, "argpartition": 0, "lexsort": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    sims = np.random.default_rng(14).standard_normal((400, 100))
+    top = retta.memory._top(sims, 5)
+    assert calls == {"partition": 1, "argpartition": 0, "lexsort": 0}
+    np.testing.assert_array_equal(top, np.argsort(-sims, axis=1)[:, :5])
+
+
 # ---------------------------------------------------------------- uniform draw
 
 
