@@ -21,6 +21,7 @@ from .adapter import (
     run_stream,
     run_zero_shot,
     signsgd_step,
+    weigh,
 )
 from .analysis import (
     EvalReport,
@@ -39,7 +40,7 @@ from .datagen import (
     reference_stream_config,
     save_jsonl,
 )
-from .memory import ClassMemory, MemoryEntry, SupportSet, weigh
+from .memory import ClassMemory
 from .model import (
     AffineParams,
     GradRecord,
@@ -65,13 +66,11 @@ __all__ = [
     "EvalReport",
     "GradRecord",
     "ImportanceCheck",
-    "MemoryEntry",
     "Outcomes",
     "Prediction",
     "Sample",
     "Stream",
     "StreamConfig",
-    "SupportSet",
     "TextBank",
     "ablation_config",
     "adapt_and_predict",

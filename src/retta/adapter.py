@@ -15,7 +15,10 @@ aggregation, step and adapted predict with a leading batch axis, over row
 chunks that keep the (queries, support, dim) temporaries within a fixed byte
 budget.  The per-sample engine (`adapt_and_predict` with `weigh`,
 `aggregate` and `aggregate_recomputed`) is the oracle it is checked and
-timed against; the recomputing mode of `process_batch` runs it.
+timed against; the recomputing mode of `process_batch` runs it.  Both read
+the same support columns from `select`, the oracle for one query at a time,
+and both forms of the weighting formula live here: `weigh` for one support,
+`_adapt_block` for a batch of them.
 
 The engines take a `Stream` and slice its feature rows; they return one
 `Outcomes`, whose fields are arrays with a row per sample.  An `AdaptOutcome`
@@ -34,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .memory import ClassMemory, SupportSet, weigh
+from .memory import ClassMemory
 from .model import (
     AffineParams,
     GradRecord,
@@ -182,37 +185,68 @@ class Outcomes:
                             tuple([names[c] for c in self.support_domains[i].tolist() if c >= 0]))
 
 
-def aggregate(support: SupportSet) -> GradRecord:
-    """Weighted average of the cached gradients under the normalized weights."""
-    if not support.entries:
+def weigh(support: dict[str, np.ndarray], query_z: np.ndarray, beta: float,
+          entropy_weighting: bool = True, similarity_weighting: bool = True
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregation weights of one query's support: raw_j = exp(-H_j) * exp(-beta * ||q - z_j||).
+
+    `support` holds the (m, ...) columns of `ClassMemory.retrieve`.  Either
+    factor can be disabled (replaced by the constant 1) for the weighting
+    ablations.  Returns (raw, weights): the literal formula values and the
+    weights normalized to sum to 1, computed from max-shifted exponentials so
+    large beta * distance terms cannot underflow them.
+    """
+    if not len(support.get("entropy", ())):
+        raise ValueError("cannot weigh an empty support set")
+    if beta < 0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
+    query = np.asarray(query_z, dtype=np.float64)
+    log_raw = np.zeros(len(support["entropy"]))
+    if entropy_weighting:
+        log_raw = log_raw - support["entropy"]
+    if similarity_weighting:
+        diff = support["z"] - query
+        log_raw = log_raw - beta * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if not np.all(np.isfinite(log_raw)):
+        raise ValueError("non-finite aggregation weights (degenerate entropies or distances)")
+    raw = np.exp(log_raw)
+    shifted = np.exp(log_raw - np.max(log_raw))
+    total = shifted.sum()
+    if total == 0.0 or raw.sum() == 0.0:
+        raise ValueError("all raw aggregation weights underflowed to zero")
+    return raw, shifted / total
+
+
+def _check_weights(support: dict[str, np.ndarray], weights: np.ndarray) -> None:
+    """Raises unless the support is non-empty and `weights` has one entry per row."""
+    m = len(support.get("d_bias", ()))
+    if not m:
         raise ValueError("cannot aggregate an empty support set")
-    if support.weights is None:
-        raise ValueError("support set has no weights; run weigh first")
-    stacks = support.stacks()
-    return GradRecord(
-        d_weight=support.weights @ stacks["d_weight"],
-        d_bias=support.weights @ stacks["d_bias"],
-    )
+    if np.shape(weights) != (m,):
+        raise ValueError(f"need one weight per support row, got weights of shape "
+                         f"{np.shape(weights)} for {m} rows")
 
 
-def aggregate_recomputed(
-    support: SupportSet, params: AffineParams, bank: TextBank
-) -> GradRecord:
+def aggregate(support: dict[str, np.ndarray], weights: np.ndarray) -> GradRecord:
+    """Weighted average of the support's cached gradients under the normalized weights."""
+    _check_weights(support, weights)
+    return GradRecord(d_weight=weights @ support["d_weight"], d_bias=weights @ support["d_bias"])
+
+
+def aggregate_recomputed(support: dict[str, np.ndarray], weights: np.ndarray,
+                         params: AffineParams, bank: TextBank) -> GradRecord:
     """Like `aggregate`, but recomputes every gradient instead of using the cache.
 
     The stored embeddings equal the features at pretrained parameters, so the
-    recomputation runs the full per-sample gradient for each entry.  This is
-    the reference path the cached engine is checked against (and timed
+    recomputation runs the full per-sample gradient for each support row.  This
+    is the reference path the cached engine is checked against (and timed
     against).
     """
-    if not support.entries:
-        raise ValueError("cannot aggregate an empty support set")
-    if support.weights is None:
-        raise ValueError("support set has no weights; run weigh first")
-    grads = [sample_grad(e.z, params, bank) for e in support.entries]
+    _check_weights(support, weights)
+    grads = [sample_grad(z, params, bank) for z in support["z"]]
     gw = np.stack([g.d_weight for g in grads])
     gb = np.stack([g.d_bias for g in grads])
-    return GradRecord(d_weight=support.weights @ gw, d_bias=support.weights @ gb)
+    return GradRecord(d_weight=weights @ gw, d_bias=weights @ gb)
 
 
 def _step(optimizer: str, params: AffineParams, d_weight: np.ndarray, d_bias: np.ndarray,
@@ -247,11 +281,12 @@ def adapt_and_predict(
 ) -> AdaptOutcome:
     """One episodic adaptation step for a single sample.
 
-    Retrieves a support set by the sample's pretrained embedding, weighs it,
+    Retrieves a support set by the sample's pretrained embedding (the same
+    `select` columns the batched engine reads, for one query), weighs it,
     aggregates the gradients, takes one optimizer step from the pretrained
     parameters, and predicts with the adapted parameters.  Nothing persistent
     is mutated; an empty support set falls back to the zero-shot prediction.
-    The sample's own entry is expected to be in memory already (insertion
+    The sample's own row is expected to be in memory already (insertion
     precedes adaptation).
     """
     if rng is None:
@@ -264,32 +299,21 @@ def adapt_and_predict(
         support = mem.retrieve(z, cfg.retrieve_k)
     else:
         support = mem.sample_uniform(cfg.retrieve_k, rng)
-    if not support.entries:
-        return AdaptOutcome(
-            prediction=zero_shot, zero_shot=zero_shot, support_size=0, support_domain_ids=()
-        )
+    if not support:
+        return AdaptOutcome(prediction=zero_shot, zero_shot=zero_shot, support_size=0)
 
-    support = weigh(
-        support,
-        z,
-        cfg.beta,
-        entropy_weighting=cfg.entropy_weighting,
-        similarity_weighting=cfg.similarity_weighting,
-    )
+    _, weights = weigh(support, z, cfg.beta, entropy_weighting=cfg.entropy_weighting,
+                       similarity_weighting=cfg.similarity_weighting)
     if recompute_grads:
-        grad = aggregate_recomputed(support, params0, bank)
+        grad = aggregate_recomputed(support, weights, params0, bank)
     else:
-        grad = aggregate(support)
+        grad = aggregate(support, weights)
     adapted = (signsgd_step if cfg.optimizer == "signsgd" else gd_step)(params0, grad, cfg.lr)
     pred = predict(forward(sample.feature, adapted), bank)
-    return AdaptOutcome(
-        prediction=pred,
-        zero_shot=zero_shot,
-        support_size=len(support.entries),
-        support_domain_ids=tuple(
-            e.domain_id for e in support.entries if e.domain_id is not None
-        ),
-    )
+    names = mem.domain_names
+    return AdaptOutcome(prediction=pred, zero_shot=zero_shot, support_size=len(weights),
+                        support_domain_ids=tuple(names[c] for c in support["domain"].tolist()
+                                                 if c >= 0))
 
 
 # Byte budget for the float64 temporaries of one array pass; a larger batch or

@@ -1,42 +1,35 @@
 """Class-split FIFO cache of embeddings and gradients, with top-k retrieval.
 
 The cache keeps one FIFO queue per pseudo-class (or a single queue in the
-unsplit ablation mode).  Each entry stores the embedding computed at the
+unsplit ablation mode).  Each row stores the embedding computed at the
 pretrained parameters together with that sample's entropy gradient, so later
 queries can assemble an update from cached pieces without re-running the
-model.  Retrieval takes the most similar entries per class queue, which makes
+model.  Retrieval takes the most similar rows per class queue, which makes
 the returned support set class-balanced by construction whenever the queues
 are warm.
 
 Each queue owns 2 * capacity rows of columns shared by all queues, allocated
-on the first insert: z, d_bias (dH/dz), entropy, domain (a code into
-`domain_names`, -1 for none), seq (arrival number), label (pseudo-class) and
-entry.  Its live rows are a window [start,
-start + size), oldest first; an insert writes the next rows, dropping the
-oldest beyond capacity, and when the window hits the end of its rows they move
-back to its first row, so each row is copied O(1) times on average.  Rows stay
-in arrival order, never rotated as in a ring buffer: BLAS gemv can round a
-row's dot product differently by its place in the block, which would give
-duplicate embeddings unequal similarities and break the ties-to-newer order of
-a scan over the queue oldest first.
+on the first insert: z, d_bias (dH/dz), entropy and domain (a code into
+`domain_names`, -1 for none).  There is no per-row object.  A queue's live
+rows are a window [start, start + size), oldest first; an insert writes the
+next rows, dropping the oldest beyond capacity, and when the window hits the
+end of its rows they move back to its first row, so each row is copied O(1)
+times on average.  Rows stay in arrival order, never rotated as in a ring
+buffer: BLAS gemv can round a row's dot product differently by its place in
+the block, which would give duplicate embeddings unequal similarities and
+break the ties-to-newer order of a scan over the queue oldest first.
 
 The weight gradient has no column: for the affine head dH/dweight = dH/dz * v,
 and at the pretrained parameters the stored z is v, so every read forms it as
 d_bias * z, the same IEEE multiply as the gradient pass, bitwise.
 
-`insert_block` writes a batch as one block per queue and builds no per-row
-object; `insert` is its one-row form that also keeps the caller's
-`MemoryEntry` in the entry column.  The oracle API (`queues`, `retrieve`,
-`sample_uniform`) builds a row's `MemoryEntry` from the columns on first
-request and keeps it until the row is evicted, so a row's entry keeps its
-identity.
-
-`select` serves a whole batch of queries at once: one gemv per query and
-queue (a matrix product would round by the query's place in the batch),
-written into one (queries, queues, longest queue) block padded with -inf,
-one top-k over all its rows by a threshold (`_top`), and one `take` per
-column read from the shared rows.  `retrieve` and `sample_uniform` are its
-one-query forms.
+`insert_block` writes a batch as one block per queue; `insert` is its
+one-row form.  `select` serves a whole batch of queries at once: one gemv per
+query and queue (a matrix product would round by the query's place in the
+batch), written into one (queries, queues, longest queue) block padded with
+-inf, one top-k over all its rows by a threshold (`_top`), and one `take`
+per column read from the shared rows.  `retrieve` and `sample_uniform` are
+its one-query forms, which the per-sample engine reads.
 
 The uniform draw of the no-domain-consistency ablation is pinned to one
 `rng.choice(size, budget, replace=False)` per query and then per queue.
@@ -49,77 +42,11 @@ it restores the generator state and makes the per-call `choice` loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GradRecord, UNIT_NORM_TOL
-
-
-@dataclass
-class MemoryEntry:
-    """Embedding + cached gradient + entropy for one past sample.
-
-    The gradient was taken at the pretrained parameters, where the embedding z
-    is the feature v, so `grad.d_weight` is `grad.d_bias * z` (dH/dz * z);
-    `ClassMemory.insert` rejects an entry that breaks this.  `seq` and
-    `pseudo_class` are stamped by `ClassMemory.insert`, or set when the memory
-    builds the entry of a block-inserted row.  `domain_id` is carried for
-    analysis only and never read on the adaptation path.
-    """
-
-    z: np.ndarray
-    grad: GradRecord
-    entropy: float
-    seq: int = -1
-    domain_id: str | None = None
-    pseudo_class: int = -1
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        dev = abs(float(np.linalg.norm(self.z)) - 1.0)
-        if dev > UNIT_NORM_TOL:
-            raise ValueError(f"memory entry embedding norm deviates from 1 by {dev:.3g}")
-
-
-@dataclass
-class SupportSet:
-    """Retrieved entries plus (optionally) their aggregation weights.
-
-    `raw_weights` are the literal weighting-formula values; `weights` are
-    normalized to sum to 1.  Both are None until `weigh` runs.  The stacked
-    views (embeddings, entropies, gradients) are built lazily and reused so
-    weighing and aggregation stay vectorized.
-    """
-
-    entries: list[MemoryEntry] = field(default_factory=list)
-    raw_weights: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    _stacks: dict | None = field(default=None, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def stacks(self) -> dict:
-        """Stacked per-entry arrays: z (n,d), entropy (n,), d_weight, d_bias."""
-        if self._stacks is None:
-            self._stacks = {
-                "z": np.stack([e.z for e in self.entries]),
-                "entropy": np.array([e.entropy for e in self.entries]),
-                "d_weight": np.stack([e.grad.d_weight for e in self.entries]),
-                "d_bias": np.stack([e.grad.d_bias for e in self.entries]),
-            }
-        return self._stacks
-
-    def with_raw_weights(self, raw: np.ndarray) -> "SupportSet":
-        """Same entries with explicit raw weights, normalized by their sum."""
-        raw = np.asarray(raw, dtype=np.float64)
-        if raw.shape != (len(self.entries),):
-            raise ValueError("one raw weight per support entry required")
-        if not np.all(np.isfinite(raw)) or np.any(raw <= 0.0):
-            raise ValueError("raw weights must be finite and strictly positive")
-        return SupportSet(entries=list(self.entries), raw_weights=raw,
-                          weights=raw / raw.sum(), _stacks=self._stacks)
+from .model import UNIT_NORM_TOL
 
 
 @dataclass(slots=True)
@@ -140,21 +67,18 @@ class _Window:
         """Append a block of rows (an array per column), dropping the oldest beyond capacity.
 
         A block of capacity rows or more keeps only its last capacity rows.
-        Rows outside the window hold no entry: dropped rows release theirs.
         """
-        r = len(block["seq"])
+        r = len(block["z"])
         if r > self.capacity:
             block = {key: values[r - self.capacity:] for key, values in block.items()}
             r = self.capacity
         drop = self.size + r - self.capacity
         if drop > 0:
-            cols["entry"][self.base + self.start : self.base + self.start + drop] = None
             self.start, self.size = self.start + drop, self.size - drop
         if self.start + self.size + r > 2 * self.capacity:
             lo, end = self.base, self.base + self.start + self.size
             for col in cols.values():
                 col[lo : lo + self.size] = col[lo + self.start : end]
-            cols["entry"][lo + self.size : end] = None
             self.start = 0
         row = self.base + self.start + self.size
         for key, values in block.items():
@@ -163,13 +87,14 @@ class _Window:
 
 
 class ClassMemory:
-    """FIFO memory over pseudo-classes with oldest-first eviction.
+    """FIFO memory over pseudo-classes with oldest-first eviction, kept as columns.
 
     split mode: one queue per class, each holding at most `capacity_per_class`
-    entries.  unsplit mode: a single queue of capacity C * K (the
+    rows.  unsplit mode: a single queue of capacity C * K (the
     no-prediction-balance ablation).  Each queue is a `_Window` over its own
-    rows of columns shared by all queues; `queues` lists each queue's entries
-    oldest first.
+    rows of the z, d_bias, entropy and domain columns shared by all queues.
+    A read goes through `select`, which gives each query's support as one
+    array per column.
     """
 
     def __init__(self, num_classes: int, capacity_per_class: int, split: bool = True):
@@ -184,7 +109,6 @@ class ClassMemory:
         self._windows = ([_Window(K, base=2 * K * c) for c in range(num_classes)] if split
                          else [_Window(num_classes * K, base=0)])
         self._cols: dict[str, np.ndarray] = {}
-        self._next_seq = 0
         self._domain_codes: dict[str, int] = {}
 
     @property
@@ -192,54 +116,26 @@ class ClassMemory:
         """The name of each domain code, in order of first insert."""
         return tuple(self._domain_codes)
 
-    @property
-    def queues(self) -> list[list[MemoryEntry]]:
-        """Each queue's entries, oldest first, as new lists (editing them changes nothing)."""
-        return [self.entries(np.arange(w.rows.start, w.rows.stop)) if w.size else []
-                for w in self._windows]
-
     def __len__(self) -> int:
         return sum(w.size for w in self._windows)
 
-    def entries(self, rows: np.ndarray) -> list[MemoryEntry]:
-        """The entries at physical rows (the `rows` of a `select` block).
+    def insert(self, z: np.ndarray, d_bias: np.ndarray, entropy: float, pseudo_label: int,
+               domain: str | None = None) -> None:
+        """Append one row to its pseudo-class queue, evicting the oldest if full.
 
-        A row written by `insert_block` gets its entry built from the columns
-        on first request, kept until the row is evicted.
+        The one-row form of `insert_block`; an embedding off unit norm changes
+        nothing and raises.
         """
-        col = self._cols["entry"]
-        found = col[rows]
-        if np.count_nonzero(found) < len(found):  # entries are truthy; unbuilt rows hold None
-            missing = rows[np.equal(found, None)]
-            row = {key: values[missing] for key, values in self._cols.items()}
-            d_weight = row["d_bias"] * row["z"]
-            names = self.domain_names + (None,)
-            for i, at in enumerate(missing.tolist()):
-                col[at] = MemoryEntry(row["z"][i], GradRecord(d_weight[i], row["d_bias"][i]),
-                                      float(row["entropy"][i]), seq=int(row["seq"][i]),
-                                      domain_id=names[row["domain"][i]],
-                                      pseudo_class=int(row["label"][i]))
-            found = col[rows]
-        return found.tolist()
-
-    def insert(self, entry: MemoryEntry, pseudo_label: int) -> None:
-        """Append an entry to its pseudo-class queue, evicting the oldest if full.
-
-        A one-row `insert_block` that keeps `entry` itself as the row's entry
-        and stamps its `seq` and `pseudo_class`.  An entry whose `d_weight` is
-        not `d_bias * z` changes nothing and raises.
-        """
-        z, grad = entry.z[None], entry.grad
-        self._check_dims(z, grad.d_bias[None])
-        if not np.array_equal(grad.d_weight, grad.d_bias * entry.z):
-            raise ValueError("memory entry d_weight is not d_bias * z (dH/dz * z)")
-        self.insert_block(z, grad.d_bias[None], [entry.entropy], [pseudo_label], [entry.domain_id])
-        self._cols["entry"][self._windows[pseudo_label if self.split else 0].rows.stop - 1] = entry
-        entry.seq, entry.pseudo_class = self._next_seq - 1, pseudo_label
+        z = np.asarray(z, dtype=np.float64)
+        dev = abs(float(np.linalg.norm(z)) - 1.0)
+        if dev > UNIT_NORM_TOL:
+            raise ValueError(f"memory entry embedding norm deviates from 1 by {dev:.3g}")
+        self.insert_block(z[None], np.asarray(d_bias, dtype=np.float64)[None], [entropy],
+                          [pseudo_label], [domain])
 
     def insert_block(self, z: np.ndarray, d_bias: np.ndarray, entropy: np.ndarray,
                      pseudo_labels: np.ndarray, domains: list) -> None:
-        """One `insert` per row, in row order, but one block write per queue and no entries.
+        """One `insert` per row, in row order, but one block write per queue.
 
         The pseudo-labels must come from the zero-shot classifier at pretrained
         parameters, the model state the cached values belong to.  Only labels
@@ -247,6 +143,8 @@ class ClassMemory:
         nothing: the loader's block check or `Sample` has checked each feature's norm
         and `model.posterior` that every logit and gradient row is finite.
         `domains` holds each row's domain name or None; the column keeps its code.
+        The columns are allocated on the first insert; a memory too large for
+        that raises a ValueError naming `capacity_per_class` and `num_classes`.
         """
         labels = np.asarray(pseudo_labels)
         r = len(labels)
@@ -266,15 +164,17 @@ class ClassMemory:
         cols = self._cols
         if not cols:
             n = 2 * self.num_classes * self.capacity_per_class
-            cols.update(z=np.empty((n, d)), d_bias=np.empty((n, d)), entropy=np.empty(n),
-                        entry=np.empty(n, dtype=object), domain=np.empty(n, dtype=np.int64),
-                        seq=np.empty(n, dtype=np.int64), label=np.empty(n, dtype=np.int64))
+            try:
+                cols.update(z=np.empty((n, d)), d_bias=np.empty((n, d)), entropy=np.empty(n),
+                            domain=np.empty(n, dtype=np.int64))
+            except (ValueError, MemoryError) as exc:
+                raise ValueError(f"a memory of capacity_per_class {self.capacity_per_class} x "
+                                 f"num_classes {self.num_classes} cannot be allocated: {exc}"
+                                 ) from None
         codes = self._domain_codes
         block = dict(z=z, d_bias=d_bias, entropy=np.asarray(entropy),
                      domain=np.array([-1 if name is None else codes.setdefault(name, len(codes))
-                                      for name in domains], dtype=np.int64),
-                     seq=np.arange(self._next_seq, self._next_seq + r), label=labels)
-        self._next_seq += r
+                                      for name in domains], dtype=np.int64))
         if not self.split or lo == hi:  # one queue: no sort
             self._windows[lo if self.split else 0].extend(cols, block)
         else:
@@ -300,7 +200,7 @@ class ClassMemory:
         """The support of each row of a (B, d) query block, stacked per column.
 
         Each non-empty queue gives the top `budget` of its rows by inner
-        product with the query, ties to the more recent entry; with `rng`, a
+        product with the query, ties to the more recent row; with `rng`, a
         uniform draw without replacement instead, and the query values are not
         read.  The draw gives the indices, and leaves the generator state, of
         one `rng.choice(size, min(budget, size), replace=False)` per query and
@@ -308,9 +208,9 @@ class ClassMemory:
         calls when the block cannot match them.  The budget is k per queue in
         split mode and C * k in the single unsplit queue.  Returns z, d_weight
         (formed as d_bias * z), d_bias, entropy and domain (codes into
-        `domain_names`) as (B, m, ...) arrays, and the (B, m) physical `rows`
-        they came from (for `entries`); every query sees the same memory, so m
-        is the same for all.  An empty memory gives {}.
+        `domain_names`) as (B, m, ...) arrays, each query's support queue by
+        queue; every query sees the same memory, so m is the same for all.  An
+        empty memory gives {}.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -337,31 +237,28 @@ class ClassMemory:
         rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
         block = {key: cols[key].take(rows, axis=0) for key in ("z", "d_bias", "entropy", "domain")}
         block["d_weight"] = block["d_bias"] * block["z"]
-        block["rows"] = rows
         return block
 
-    def _support(self, block: dict[str, np.ndarray]) -> SupportSet:
-        """The SupportSet of the first query of a `select` block."""
-        if not block:
-            return SupportSet(entries=[])
-        stacks = {key: block[key][0] for key in ("z", "entropy", "d_weight", "d_bias")}
-        return SupportSet(entries=self.entries(block["rows"][0]), _stacks=stacks)
-
-    def retrieve(self, query_z: np.ndarray, k: int) -> SupportSet:
-        """Top-k most similar entries from each non-empty queue (weights unset).
+    def retrieve(self, query_z: np.ndarray, k: int) -> dict[str, np.ndarray]:
+        """The `select` support of one query: its columns as (m, ...) arrays, {} when empty.
 
         Similarity is the inner product with `query_z`; ties go to the more
-        recent entry.  In unsplit mode the single queue contributes the top
-        C * k.  An empty memory yields an empty support set.
+        recent row.  In unsplit mode the single queue contributes the top
+        C * k.
         """
-        return self._support(self.select(np.asarray(query_z, dtype=np.float64)[None, :], k))
+        return _first(self.select(np.asarray(query_z, dtype=np.float64)[None, :], k))
 
-    def sample_uniform(self, k: int, rng: np.random.Generator) -> SupportSet:
+    def sample_uniform(self, k: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         """Uniform draw without replacement, same per-queue budget as `retrieve`.
 
         Used by the no-domain-consistency ablation in place of top-k.
         """
-        return self._support(self.select(np.empty((1, 0)), k, rng))
+        return _first(self.select(np.empty((1, 0)), k, rng))
+
+
+def _first(block: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The first query's support of a `select` block."""
+    return {key: values[0] for key, values in block.items()}
 
 
 def _uniform_draws(rng: np.random.Generator, sizes: list[int], budget: int,
@@ -456,40 +353,3 @@ def _sorted_top(sims: np.ndarray, budget: int) -> np.ndarray:
     tied columns newest first."""
     return sims.shape[1] - 1 - (-sims[:, ::-1]).argsort(axis=1, kind="stable")[:, :budget]
 
-
-def weigh(
-    support: SupportSet,
-    query_z: np.ndarray,
-    beta: float,
-    entropy_weighting: bool = True,
-    similarity_weighting: bool = True,
-) -> SupportSet:
-    """Set aggregation weights: raw_j = exp(-H_j) * exp(-beta * ||query - z_j||).
-
-    Either factor can be disabled (replaced by the constant 1) for the
-    weighting ablations.  Normalized weights are computed from max-shifted
-    exponentials so large beta * distance terms cannot underflow them; the
-    stored raw weights are the literal formula values.
-    """
-    if not support.entries:
-        raise ValueError("cannot weigh an empty support set")
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    query = np.asarray(query_z, dtype=np.float64)
-    stacks = support.stacks()
-    log_raw = np.zeros(len(support.entries))
-    if entropy_weighting:
-        log_raw = log_raw - stacks["entropy"]
-    if similarity_weighting:
-        diff = stacks["z"] - query
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        log_raw = log_raw - beta * dists
-    if not np.all(np.isfinite(log_raw)):
-        raise ValueError("non-finite aggregation weights (degenerate entropies or distances)")
-    raw = np.exp(log_raw)
-    shifted = np.exp(log_raw - np.max(log_raw))
-    total = shifted.sum()
-    if total == 0.0 or raw.sum() == 0.0:
-        raise ValueError("all raw aggregation weights underflowed to zero")
-    return SupportSet(entries=list(support.entries), raw_weights=raw,
-                      weights=shifted / total, _stacks=stacks)

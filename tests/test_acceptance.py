@@ -9,6 +9,7 @@ to see them).  Trend margins are frozen against the reference benchmark
 from __future__ import annotations
 
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from retta.adapter import (
     run_stream,
     run_zero_shot,
     signsgd_step,
+    weigh,
 )
 from retta.analysis import (
     bench_cache,
@@ -33,10 +35,9 @@ from retta.analysis import (
     verify_feature_importance,
 )
 from retta.datagen import StreamConfig, generate, order_stream, reference_stream_config
-from retta.memory import ClassMemory, MemoryEntry, weigh
+from retta.memory import ClassMemory
 from retta.model import (
     AffineParams,
-    GradRecord,
     TextBank,
     finite_diff_grad,
     forward,
@@ -202,14 +203,17 @@ def test_criterion_4_signsgd_weight_scale_invariance():
         checked = 0
         for q in samples[1000:1200]:
             z = forward(q.feature, params0)
-            support = weigh(mem.retrieve(z, cfg.retrieve_k), z, cfg.beta)
+            support = mem.retrieve(z, cfg.retrieve_k)
+            raw, weights = weigh(support, z, cfg.beta)
             base = predict(
-                forward(q.feature, signsgd_step(params0, aggregate(support), cfg.lr)), bank
+                forward(q.feature, signsgd_step(params0, aggregate(support, weights), cfg.lr)),
+                bank,
             )
             for scale in scales:
-                rescaled = support.with_raw_weights(scale * support.raw_weights)
+                w = scale * raw
                 pred = predict(
-                    forward(q.feature, signsgd_step(params0, aggregate(rescaled), cfg.lr)),
+                    forward(q.feature,
+                            signsgd_step(params0, aggregate(support, w / w.sum()), cfg.lr)),
                     bank,
                 )
                 np.testing.assert_array_equal(pred.logits, base.logits)
@@ -228,33 +232,35 @@ def test_criterion_5_retrieval_matches_brute_force():
             split = bool(rng.integers(2))
             d = int(rng.integers(2, 9))
             mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
+            # the test's own FIFO replay of (arrival number, z) per queue, oldest first
+            replay = [deque(maxlen=K if split else C * K) for _ in range(C if split else 1)]
             n = int(rng.integers(0, 100))
             pool = [rng.standard_normal(d) for _ in range(max(n // 3, 1))]
             pool = [v / np.linalg.norm(v) for v in pool]
-            for _ in range(n):
+            for i in range(n):
                 z = pool[int(rng.integers(len(pool)))]  # duplicates force ties
-                mem.insert(
-                    MemoryEntry(z=z, grad=GradRecord(np.zeros(d), np.zeros(d)), entropy=0.1),
-                    pseudo_label=int(rng.integers(C)),
-                )
+                label = int(rng.integers(C))
+                # row i carries entropy float(i), a payload retrieval never reads
+                mem.insert(z, np.zeros(d), float(i), pseudo_label=label)
+                replay[label if split else 0].append((i, z))
             if rng.random() < 0.5:
                 query = pool[int(rng.integers(len(pool)))]
             else:
                 query = rng.standard_normal(d)
                 query /= np.linalg.norm(query)
             k = int(rng.integers(1, 8))
-            got = mem.retrieve(query, k).entries
+            support = mem.retrieve(query, k)
+            got = support["entropy"].tolist() if support else []
             budget = k if split else C * k
             expected = []
-            for qi in range(len(mem.queues)):
-                q = mem.queues[qi]
+            for q in replay:
                 if not q:
                     continue
-                entries = list(q)
-                sims = np.stack([e.z for e in entries]) @ query
-                ranked = sorted(zip(sims, entries), key=lambda t: (-t[0], -t[1].seq))
-                expected.extend(e for _, e in ranked[: min(budget, len(ranked))])
-            assert [id(e) for e in got] == [id(e) for e in expected]
+                # stacked oldest first, the gemv shape of `select`; ties to the newer entry
+                sims = np.stack([z for _, z in q]) @ query
+                ranked = sorted(range(len(q)), key=lambda j: (-sims[j], -j))
+                expected.extend(float(q[j][0]) for j in ranked[:budget])
+            assert got == expected
             trials += 1
         c.detail = f"{trials} random (memory, query, k) trials incl. tie cases"
 

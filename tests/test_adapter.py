@@ -22,9 +22,10 @@ from retta.adapter import (
     run_stream,
     run_zero_shot,
     signsgd_step,
+    weigh,
 )
 from retta.datagen import StreamConfig, generate
-from retta.memory import ClassMemory, MemoryEntry, SupportSet, weigh
+from retta.memory import ClassMemory
 from retta.model import (
     AffineParams,
     GradRecord,
@@ -36,6 +37,7 @@ from retta.model import (
     predict,
     sample_grad,
 )
+from test_memory import queues
 
 
 def small_stream(seed=0, n=200):
@@ -55,31 +57,36 @@ def small_engine_cfg(seed=0, **kw):
 # ---------------------------------------------------------------- aggregate
 
 
-def make_entry(rng, d, domain=None):
-    z = rng.standard_normal(d)
-    z /= np.linalg.norm(z)
-    return MemoryEntry(z=z, grad=GradRecord(rng.standard_normal(d), rng.standard_normal(d)),
-                       entropy=float(rng.uniform(0, 1.2)), domain_id=domain)
+def make_support(rng, n, d, grad=None):
+    """A one-query support of n rows as `retrieve` gives it: unit z and, unless `grad` gives
+    every row's, random gradients."""
+    z = rng.standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    if grad is None:
+        d_weight, d_bias = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    else:
+        d_weight, d_bias = np.tile(grad.d_weight, (n, 1)), np.tile(grad.d_bias, (n, 1))
+    return {"z": z, "d_weight": d_weight, "d_bias": d_bias, "entropy": rng.uniform(0, 1.2, n),
+            "domain": np.full(n, -1)}
+
+
+def normalized(raw):
+    return raw / raw.sum()
 
 
 def test_singleton_support_returns_its_own_gradient():
     rng = np.random.default_rng(0)
-    e = make_entry(rng, 8)
-    support = SupportSet(entries=[e]).with_raw_weights(np.array([3.7]))
-    agg = aggregate(support)
-    np.testing.assert_array_equal(agg.d_weight, e.grad.d_weight)
-    np.testing.assert_array_equal(agg.d_bias, e.grad.d_bias)
+    support = make_support(rng, 1, 8)
+    agg = aggregate(support, normalized(np.array([3.7])))
+    np.testing.assert_array_equal(agg.d_weight, support["d_weight"][0])
+    np.testing.assert_array_equal(agg.d_bias, support["d_bias"][0])
 
 
 def test_identical_gradients_survive_any_weighting():
     rng = np.random.default_rng(1)
     g = GradRecord(rng.standard_normal(6), rng.standard_normal(6))
-    entries = []
-    for _ in range(5):
-        z = rng.standard_normal(6)
-        entries.append(MemoryEntry(z=z / np.linalg.norm(z), grad=g, entropy=0.3))
-    support = SupportSet(entries=entries).with_raw_weights(rng.uniform(0.1, 5.0, 5))
-    agg = aggregate(support)
+    support = make_support(rng, 5, 6, grad=g)
+    agg = aggregate(support, normalized(rng.uniform(0.1, 5.0, 5)))
     np.testing.assert_allclose(agg.d_weight, g.d_weight, rtol=1e-14)
 
 
@@ -93,27 +100,33 @@ def test_aggregate_matches_recompute_from_scratch():
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         bank = TextBank(emb, float(rng.uniform(0, 2)), [f"c{i}" for i in range(C)])
         params0 = AffineParams.pretrained(d)
-        entries = []
+        mem = ClassMemory(C, capacity_per_class=8, split=False)
         for _ in range(8):
             v = rng.standard_normal(d)
             v /= np.linalg.norm(v)
             pred = predict(forward(v, params0), bank)
-            entries.append(MemoryEntry(z=v, grad=sample_grad(v, params0, bank),
-                                       entropy=pred.entropy))
+            mem.insert(v, sample_grad(v, params0, bank).d_bias, pred.entropy, pred.pseudo_label)
         query = rng.standard_normal(d)
-        support = weigh(SupportSet(entries=entries), query / np.linalg.norm(query), beta=4.0)
-        cached = aggregate(support)
-        fresh = aggregate_recomputed(support, params0, bank)
+        query /= np.linalg.norm(query)
+        support = mem.retrieve(query, k=2)  # the unsplit budget C * k: all 8 rows
+        _, weights = weigh(support, query, beta=4.0)
+        cached = aggregate(support, weights)
+        fresh = aggregate_recomputed(support, weights, params0, bank)
         np.testing.assert_allclose(cached.d_weight, fresh.d_weight, rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(cached.d_bias, fresh.d_bias, rtol=1e-12, atol=1e-300)
 
 
 def test_aggregate_requires_weights():
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="weights"):
-        aggregate(SupportSet(entries=[make_entry(rng, 4)]))
+    support = make_support(rng, 2, 4)
+    params0, bank = AffineParams.pretrained(4), TextBank(np.eye(4), 0.0, list("abcd"))
+    for weights in (None, np.ones(3) / 3, np.ones((1, 2)) / 2):
+        with pytest.raises(ValueError, match="weights"):
+            aggregate(support, weights)
+        with pytest.raises(ValueError, match="weights"):
+            aggregate_recomputed(support, weights, params0, bank)
     with pytest.raises(ValueError, match="empty"):
-        aggregate(SupportSet(entries=[]))
+        aggregate({}, np.ones(0))
 
 
 # ---------------------------------------------------------------- optimizers
@@ -176,7 +189,7 @@ def test_cold_start_support_is_the_sample_itself():
     params0 = AffineParams.pretrained(bank.dim)
     pred = predict(forward(s.feature, params0), bank)
     grad = sample_grad(s.feature, params0, bank)
-    mem.insert(MemoryEntry(z=s.feature, grad=grad, entropy=pred.entropy), pred.pseudo_label)
+    mem.insert(s.feature, grad.d_bias, pred.entropy, pred.pseudo_label)
 
     out = adapt_and_predict(s, mem, cfg, bank)
     assert out.support_size == 1
@@ -274,10 +287,10 @@ def test_prewarmed_memory_makes_batch_size_irrelevant():
         for start in range(0, len(warm), 50):
             process_batch(warm[start : start + 50], mem, cfg, bank, rng=rng)
         if B == 1:
-            base_mem_state = [[e.seq for e in q] for q in mem.queues]
+            base_mem_state = queues(mem)
             base = [adapt_and_predict(s, mem, cfg, bank, rng=rng) for s in tail]
         else:
-            assert [[e.seq for e in q] for q in mem.queues] == base_mem_state
+            assert queues(mem) == base_mem_state
             again = [adapt_and_predict(s, mem, cfg, bank, rng=rng) for s in tail]
             for a, b in zip(base, again):
                 np.testing.assert_array_equal(a.prediction.logits, b.prediction.logits)
@@ -292,7 +305,7 @@ def test_prediction_balance_is_structural_with_warm_queues():
     for start in range(0, len(samples), 30):
         outcomes.extend(process_batch(samples[start : start + 30], mem, cfg, bank, rng=rng))
     # once every queue holds >= k entries, every support is exactly C*k
-    assert min(len(q) for q in mem.queues) >= cfg.retrieve_k
+    assert min(len(q) for q in queues(mem)) >= cfg.retrieve_k
     for o in outcomes[-30:]:
         assert o.support_size == bank.num_classes * cfg.retrieve_k
 
@@ -338,15 +351,18 @@ def test_batched_engine_matches_per_sample_oracle(data):
 @given(data=st.data())
 def test_selected_gradients_are_bitwise_the_gradient_pass_of_their_sample(data):
     """After each `process_batch` of a random partition, every `select` row's d_weight
-    and d_bias are bitwise the `batch_grads` row of the sample with that row's seq.
+    and d_bias are bitwise the `batch_grads` row of the sample with that row's z.
 
-    Small queues and a long stream force evictions and window compaction.
+    Small queues and a long stream force evictions and window compaction.  The
+    stream's features are distinct, so a row's z names its sample.
     """
     samples, bank = small_stream(seed=data.draw(st.integers(0, 3), label="stream"), n=90)
     cfg = small_engine_cfg(capacity_per_class=data.draw(st.integers(1, 6), label="capacity"),
                            batch_size=40, split_memory=data.draw(st.booleans(), label="split"))
     k = data.draw(st.integers(1, 8), label="k")
     grads = batch_grads(samples.features, AffineParams.pretrained(bank.dim), bank)
+    sample_of = {v.tobytes(): i for i, v in enumerate(samples.features)}
+    assert len(sample_of) == len(samples)
     mem = ClassMemory(bank.num_classes, cfg.capacity_per_class, split=cfg.split_memory)
     rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
     start = 0
@@ -357,27 +373,39 @@ def test_selected_gradients_are_bitwise_the_gradient_pass_of_their_sample(data):
         queries = np.stack([s.feature for s in batch])
         for block in (mem.select(queries, k), mem.select(queries, k, rng)):
             for q in range(len(queries)):
-                seqs = [e.seq for e in mem.entries(block["rows"][q])]
-                assert block["d_weight"][q].tobytes() == grads.d_weight[seqs].tobytes()
-                assert block["d_bias"][q].tobytes() == grads.d_bias[seqs].tobytes()
+                rows = [sample_of[z.tobytes()] for z in block["z"][q]]
+                assert block["d_weight"][q].tobytes() == grads.d_weight[rows].tobytes()
+                assert block["d_bias"][q].tobytes() == grads.d_bias[rows].tobytes()
 
 
 def test_cached_engine_builds_no_per_sample_entries_or_grad_records(monkeypatch):
-    """Each batch goes into the memory columns as one block: the cached engine runs
-    no `MemoryEntry` or `GradRecord` check, while the counters do see the oracle's."""
+    """Each batch goes into the memory columns as one block and every read is a
+    column block: the batched engine builds no `GradRecord`, while the per-sample
+    oracle builds exactly one per query (the aggregate) in its cached mode and one
+    per support row more (each recomputed gradient) in its recomputing mode."""
     samples, bank = small_stream(n=120)
     cfg = small_engine_cfg()
-    calls = {MemoryEntry: 0, GradRecord: 0}
-    for cls in calls:
-        def counted(self, cls=cls, check=cls.__post_init__):
-            calls[cls] += 1
-            check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    calls = 0
+    check = GradRecord.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        check(self)
+
+    monkeypatch.setattr(GradRecord, "__post_init__", counted)
     for variant in ("full", "no-pb", "no-dc", "no-pb-dc", "no-entw", "no-simw"):
         run_stream(samples, ablation_config(cfg, variant), bank)
-    assert calls == {MemoryEntry: 0, GradRecord: 0}
-    run_stream(samples[:20], cfg, bank, recompute_grads=True)
-    assert calls[MemoryEntry] > 0 and calls[GradRecord] > 0
+    assert calls == 0
+    mem = ClassMemory(bank.num_classes, cfg.capacity_per_class)
+    process_batch(samples[:20], mem, cfg, bank)
+    assert calls == 0
+    for s in samples[:20]:
+        for recompute in (False, True):
+            calls = 0
+            out = adapt_and_predict(s, mem, cfg, bank, recompute_grads=recompute)
+            assert out.support_size > 0
+            assert calls == (out.support_size + 1 if recompute else 1)
 
 
 @pytest.mark.parametrize("variant", ["full", "no-pb", "no-dc"])

@@ -177,6 +177,20 @@ def test_run_reports_an_allocation_failure_in_one_line(tmp_path, dataset_dir, ca
     _single_error_line(capsys.readouterr().err)
 
 
+def test_run_names_the_capacity_when_the_memory_exceeds_an_array_dimension(tmp_path, dataset_dir,
+                                                                           capsys):
+    # 2 * 3 * 2**62 rows are past numpy's largest array dimension: the first insert's
+    # allocation fails before any byte is requested
+    acfg = write_adapter_config(tmp_path / "adapter.json", capacity_per_class=2**62)
+    out = tmp_path / "x"
+    code = main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(out)])
+    assert code == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert f"capacity_per_class {2**62} x num_classes 3" in line, line
+    assert not out.exists()
+
+
 def test_run_rejects_empty_dataset(tmp_path, dataset_dir, capsys):
     (dataset_dir / "dataset.jsonl").write_text("")
     acfg = write_adapter_config(tmp_path / "adapter.json")

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import weakref
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -11,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retta.memory
-from retta.adapter import aggregate, signsgd_step
-from retta.memory import ClassMemory, MemoryEntry, SupportSet, _uniform_draws, weigh
-from retta.model import AffineParams, GradRecord, TextBank, forward, predict
+from retta.adapter import aggregate, signsgd_step, weigh
+from retta.memory import ClassMemory, _uniform_draws
+from retta.model import AffineParams, TextBank, forward, predict
+
+COLUMNS = ("z", "d_bias", "entropy", "domain")
 
 
 def unit(rng, d):
@@ -21,20 +22,31 @@ def unit(rng, d):
     return v / np.linalg.norm(v)
 
 
-def grad_at(rng, z):
-    """A random dH/dz for embedding z, with d_weight = dH/dz * z as the memory requires."""
-    dH_dz = rng.standard_normal(len(z))
-    return GradRecord(dH_dz * z, dH_dz)
+def row(rng, d=4, entropy=None):
+    """`insert`'s z, d_bias and entropy for one random row: a unit z, a random dH/dz."""
+    return (unit(rng, d), rng.standard_normal(d),
+            float(rng.uniform(0.0, 1.2)) if entropy is None else entropy)
 
 
-def entry(rng, d=4, entropy=None, domain=None):
-    z = unit(rng, d)
-    return MemoryEntry(
-        z=z,
-        grad=grad_at(rng, z),
-        entropy=float(rng.uniform(0.0, 1.2)) if entropy is None else entropy,
-        domain_id=domain,
-    )
+def queues(mem: ClassMemory) -> list[list[tuple]]:
+    """Each queue's live rows, oldest first, as (z bytes, d_bias bytes, entropy, domain name):
+    the window state, read from `_windows` and `_cols`, the one place the tests look past
+    `select`."""
+    names = mem.domain_names + (None,)
+    return [[(z.tobytes(), g.tobytes(), float(h), names[c])
+             for z, g, h, c in zip(*(mem._cols[key][w.rows] for key in COLUMNS))] if w.size else []
+            for w in mem._windows]
+
+
+def arrivals(mem: ClassMemory) -> list[list[float]]:
+    """Each queue's entropies oldest first: the arrival numbers where a test inserts row i
+    with entropy float(i), a payload retrieval never reads."""
+    return [[h for _, _, h, _ in q] for q in queues(mem)]
+
+
+def picked(support: dict) -> list[float]:
+    """The entropies of a one-query support, in support order ([] for an empty memory)."""
+    return support["entropy"].tolist() if support else []
 
 
 # ---------------------------------------------------------------- insert
@@ -43,45 +55,28 @@ def entry(rng, d=4, entropy=None, domain=None):
 def test_fifo_keeps_the_last_k():
     rng = np.random.default_rng(0)
     mem = ClassMemory(num_classes=2, capacity_per_class=2)
-    entries = [entry(rng) for _ in range(3)]
-    for e in entries:
-        mem.insert(e, pseudo_label=0)
-    held = list(mem.queues[0])
-    assert len(held) == 2
-    assert held[0] is entries[1] and held[1] is entries[2]
+    for i in range(3):
+        mem.insert(*row(rng, entropy=float(i)), pseudo_label=0)
+    assert arrivals(mem)[0] == [1.0, 2.0]
 
 
 def test_insert_leaves_other_queues_untouched():
     rng = np.random.default_rng(1)
     mem = ClassMemory(num_classes=3, capacity_per_class=4)
     for _ in range(6):
-        mem.insert(entry(rng), pseudo_label=0)
-    assert len(mem.queues[1]) == 0 and len(mem.queues[2]) == 0
+        mem.insert(*row(rng), pseudo_label=0)
+    assert queues(mem)[1] == [] and queues(mem)[2] == []
 
 
 def test_interleaved_inserts_preserve_per_class_arrival_order():
     rng = np.random.default_rng(2)
     mem = ClassMemory(num_classes=3, capacity_per_class=50)
-    arrivals = {c: [] for c in range(3)}  # replay oracle
-    for _ in range(120):
+    replay = {c: [] for c in range(3)}  # replay oracle
+    for i in range(120):
         c = int(rng.integers(3))
-        e = entry(rng)
-        arrivals[c].append(e)
-        mem.insert(e, pseudo_label=c)
-    for c in range(3):
-        expected = arrivals[c][-50:]
-        assert [id(e) for e in mem.queues[c]] == [id(e) for e in expected]
-
-
-def test_seq_strictly_increases_across_all_queues():
-    rng = np.random.default_rng(3)
-    mem = ClassMemory(num_classes=4, capacity_per_class=10)
-    last = -1
-    for _ in range(100):
-        e = entry(rng)
-        mem.insert(e, pseudo_label=int(rng.integers(4)))
-        assert e.seq > last
-        last = e.seq
+        replay[c].append(float(i))
+        mem.insert(*row(rng, entropy=float(i)), pseudo_label=c)
+    assert arrivals(mem) == [replay[c][-50:] for c in range(3)]
 
 
 def test_capacity_invariants_after_many_random_inserts():
@@ -90,11 +85,10 @@ def test_capacity_invariants_after_many_random_inserts():
     unsplit = ClassMemory(num_classes=5, capacity_per_class=16, split=False)
     for _ in range(10_000):
         c = int(rng.integers(5))
-        e = entry(rng)
-        split.insert(e, c)
-        unsplit.insert(entry(rng), c)
-        assert all(len(q) <= 16 for q in split.queues)
-        assert len(unsplit.queues[0]) <= 5 * 16
+        split.insert(*row(rng), c)
+        unsplit.insert(*row(rng), c)
+        assert all(len(q) <= 16 for q in queues(split))
+        assert len(queues(unsplit)[0]) <= 5 * 16
     assert len(split) == 5 * 16
     assert len(unsplit) == 5 * 16
 
@@ -103,46 +97,28 @@ def test_insert_rejects_out_of_range_class():
     rng = np.random.default_rng(5)
     mem = ClassMemory(num_classes=2, capacity_per_class=4)
     with pytest.raises(ValueError, match="out of range"):
-        mem.insert(entry(rng), pseudo_label=2)
+        mem.insert(*row(rng), pseudo_label=2)
 
 
 def test_insert_rejects_dim_mismatch_and_leaves_memory_intact():
     rng = np.random.default_rng(5)
     mem = ClassMemory(num_classes=1, capacity_per_class=2)
-    held = [entry(rng), entry(rng)]
-    for e in held:
-        mem.insert(e, pseudo_label=0)
+    for i in range(2):
+        mem.insert(*row(rng, entropy=float(i)), pseudo_label=0)
+    before = queues(mem)
     z = unit(rng, 4)
-    wrong = MemoryEntry(z=z, grad=grad_at(rng, z[:3]), entropy=0.1)
-    for bad in (entry(rng, d=3), wrong):
+    for bad in (row(rng, d=3), (z, rng.standard_normal(3), 0.1)):
         with pytest.raises(ValueError, match="dim"):
-            mem.insert(bad, pseudo_label=0)
-    assert [id(e) for e in mem.queues[0]] == [id(e) for e in held]
-
-
-def test_insert_rejects_a_d_weight_that_is_not_d_bias_times_z_and_leaves_memory_intact():
-    rng = np.random.default_rng(34)
-    mem = ClassMemory(num_classes=2, capacity_per_class=2)
-    for c in (0, 1):
-        mem.insert(entry(rng), pseudo_label=c)
-    before = [as_rows(q) for q in mem.queues]
-    z, d_bias = unit(rng, 4), rng.standard_normal(4)
-    off_by_one_ulp = d_bias * z
-    off_by_one_ulp[2] = np.nextafter(off_by_one_ulp[2], np.inf)
-    for d_weight in (rng.standard_normal(4), off_by_one_ulp):
-        bad = MemoryEntry(z=z, grad=GradRecord(d_weight, d_bias), entropy=0.1)
-        with pytest.raises(ValueError, match="d_weight"):
-            mem.insert(bad, pseudo_label=0)
-        assert bad.seq == -1
-    assert [as_rows(q) for q in mem.queues] == before
-    e = entry(rng)
-    mem.insert(e, pseudo_label=0)
-    assert e.seq == 2
+            mem.insert(*bad, pseudo_label=0)
+    assert queues(mem) == before
+    assert arrivals(mem) == [[0.0, 1.0]]
 
 
 def test_entry_rejects_off_unit_embedding():
+    mem = ClassMemory(num_classes=1, capacity_per_class=2)
     with pytest.raises(ValueError, match="norm"):
-        MemoryEntry(z=np.array([1.0, 1.0]), grad=GradRecord(np.zeros(2), np.zeros(2)), entropy=0.5)
+        mem.insert(np.array([1.0, 1.0]), np.zeros(2), 0.5, pseudo_label=0)
+    assert len(mem) == 0
 
 
 def block_of(rng, r, d, C, pool=None):
@@ -151,12 +127,6 @@ def block_of(rng, r, d, C, pool=None):
          else np.stack([unit(rng, d) for _ in range(r)]))
     return (z, rng.standard_normal((r, d)), rng.uniform(0.0, 1.2, r), rng.integers(C, size=r),
             [f"dom{i}" for i in rng.integers(3, size=r)])
-
-
-def as_rows(entries):
-    """Every field of each entry, for bitwise comparison."""
-    return [(e.seq, e.pseudo_class, e.z.tobytes(), e.grad.d_weight.tobytes(),
-             e.grad.d_bias.tobytes(), repr(e.entropy), e.domain_id) for e in entries]
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,9 +155,8 @@ def test_block_insert_matches_per_row_inserts(data):
         z, d_bias, entropy, labels, domains = block_of(rng, r, d, C, pool)
         by_block.insert_block(z, d_bias, entropy, labels, domains)
         for j in range(r):
-            by_row.insert(MemoryEntry(z[j], GradRecord(d_bias[j] * z[j], d_bias[j]),
-                                      float(entropy[j]), domain_id=domains[j]), int(labels[j]))
-        assert [as_rows(q) for q in by_block.queues] == [as_rows(q) for q in by_row.queues]
+            by_row.insert(z[j], d_bias[j], float(entropy[j]), int(labels[j]), domains[j])
+        assert queues(by_block) == queues(by_row)
         assert len(by_block) == len(by_row)
 
         queries = np.stack([pool[int(j)] for j in rng.integers(len(pool), size=3)])
@@ -197,108 +166,71 @@ def test_block_insert_matches_per_row_inserts(data):
                              for mem in (by_block, by_row))
             for key in ("z", "d_weight", "d_bias", "entropy", "domain"):
                 np.testing.assert_array_equal(got[key], expected[key])
-            for q in range(len(queries)):
-                assert ([e.seq for e in by_block.entries(got["rows"][q])]
-                        == [e.seq for e in by_row.entries(expected["rows"][q])])
-
-
-def test_entries_built_on_demand_keep_their_identity():
-    rng = np.random.default_rng(30)
-    mem = ClassMemory(num_classes=3, capacity_per_class=5)
-    mem.insert_block(*block_of(rng, 12, 4, 3))
-    first = mem.queues
-    assert [[id(e) for e in q] for q in mem.queues] == [[id(e) for e in q] for q in first]
-    support = mem.retrieve(unit(rng, 4), k=2)
-    held = {id(e) for q in first for e in q}
-    assert all(id(e) in held for e in support.entries)
-
-
-def test_evicted_row_releases_its_entry_and_a_refilled_row_gets_a_new_one():
-    rng = np.random.default_rng(31)
-    mem = ClassMemory(num_classes=1, capacity_per_class=2)
-    mem.insert_block(*block_of(rng, 2, 4, 1))
-    released = [weakref.ref(e) for e in mem.queues[0]]
-    old_rows = mem.select(unit(rng, 4)[None], k=2)["rows"]
-    mem.insert_block(*block_of(rng, 2, 4, 1))
-    assert [ref() for ref in released] == [None, None]
-    refill = block_of(rng, 2, 4, 1)
-    mem.insert_block(*refill)  # the window is compacted back onto the first rows
-    assert sorted(mem.select(unit(rng, 4)[None], k=2)["rows"][0]) == sorted(old_rows[0])
-    new = mem.queues[0]
-    assert [e.seq for e in new] == [4, 5]
-    np.testing.assert_array_equal(np.stack([e.z for e in new]), refill[0])
-    np.testing.assert_array_equal(np.stack([e.grad.d_bias for e in new]), refill[1])
 
 
 def test_block_insert_rejects_out_of_range_label_and_leaves_memory_intact():
     rng = np.random.default_rng(32)
     mem = ClassMemory(num_classes=3, capacity_per_class=4)
     mem.insert_block(*block_of(rng, 5, 4, 3))
-    before = [as_rows(q) for q in mem.queues]
+    before = queues(mem)
     for bad in (3, -1):
         z, d_bias, entropy, labels, domains = block_of(rng, 6, 4, 3)
         labels[[2, 4]] = bad
         with pytest.raises(ValueError, match="row 2: pseudo_label .* out of range"):
             mem.insert_block(z, d_bias, entropy, labels, domains)
-    assert [as_rows(q) for q in mem.queues] == before
-    e = entry(rng)
-    mem.insert(e, pseudo_label=0)
-    assert e.seq == 5
+    assert queues(mem) == before
+    assert len(mem) == 5
 
 
 def test_block_insert_rejects_dim_mismatch_and_leaves_memory_intact():
     rng = np.random.default_rng(33)
     mem = ClassMemory(num_classes=2, capacity_per_class=4)
     mem.insert_block(*block_of(rng, 5, 4, 2))
-    before = [as_rows(q) for q in mem.queues]
+    before = queues(mem)
     for column in range(2):  # z, d_bias
         args = list(block_of(rng, 3, 4, 2))
         args[column] = args[column][:, :3]
         with pytest.raises(ValueError, match="row 0: .* dim"):
             mem.insert_block(*args)
-    assert [as_rows(q) for q in mem.queues] == before
+    assert queues(mem) == before
     assert len(mem) == 5
 
 
 # ---------------------------------------------------------------- retrieve
 
 
-def brute_force_retrieve(mem: ClassMemory, query: np.ndarray, k: int):
-    """Full scan-and-sort per queue: the oracle `retrieve` must match.
-
-    Similarities use the same stacked matrix-vector product as the engine so
-    the comparison exercises the selection logic, not BLAS rounding.
-    """
-    budget = k if mem.split else mem.num_classes * k
-    picked = []
-    for q in mem.queues:
-        if not q:
-            continue
-        entries = list(q)
-        sims = np.stack([e.z for e in entries]) @ query
-        scored = sorted(zip(sims, entries), key=lambda t: (-t[0], -t[1].seq))
-        picked.extend(e for _, e in scored[: min(budget, len(scored))])
-    return picked
+def replay_top_k(replay: list[deque], query: np.ndarray, budget: int) -> list[float]:
+    """Full scan-and-sort per replayed queue of (arrival number, z): the oracle `retrieve`
+    must match.  Each queue is stacked oldest first, the same gemv shape as `select`, so
+    the comparison exercises the selection logic, not BLAS rounding; ties go to the newer
+    entry, the later place in the queue."""
+    expected = []
+    for queue in replay:
+        if queue:
+            sims = np.stack([z for _, z in queue]) @ query
+            ranked = sorted(range(len(queue)), key=lambda j: (-sims[j], -j))
+            expected.extend(float(queue[j][0]) for j in ranked[:budget])
+    return expected
 
 
 def test_retrieve_saturates_to_whole_memory():
     rng = np.random.default_rng(6)
     mem = ClassMemory(num_classes=3, capacity_per_class=10)
     for _ in range(12):
-        mem.insert(entry(rng), pseudo_label=int(rng.integers(3)))
+        mem.insert(*row(rng), pseudo_label=int(rng.integers(3)))
     support = mem.retrieve(unit(rng, 4), k=50)
-    assert len(support) == len(mem)
+    assert len(support["z"]) == len(mem)
 
 
 def test_query_equal_to_stored_embedding_ranks_first():
     rng = np.random.default_rng(7)
     mem = ClassMemory(num_classes=2, capacity_per_class=10)
-    target = entry(rng)
-    mem.insert(target, pseudo_label=0)
-    for _ in range(9):
-        mem.insert(entry(rng), pseudo_label=0)
-    support = mem.retrieve(target.z, k=3)
-    assert support.entries[0] is target
+    target = row(rng, entropy=0.0)
+    mem.insert(*target, pseudo_label=0)
+    for i in range(1, 10):
+        mem.insert(*row(rng, entropy=float(i)), pseudo_label=0)
+    support = mem.retrieve(target[0], k=3)
+    assert picked(support)[0] == 0.0
 
 
 def test_retrieve_matches_brute_force_oracle():
@@ -308,46 +240,46 @@ def test_retrieve_matches_brute_force_oracle():
         K = int(rng.integers(2, 51))
         split = bool(rng.integers(2))
         mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
+        replay = [deque(maxlen=K if split else C * K) for _ in range(C if split else 1)]
         d = int(rng.integers(2, 9))
         n = int(rng.integers(0, 120))
         pool = [unit(rng, d) for _ in range(max(n // 3, 1))]
-        for _ in range(n):
+        for i in range(n):
             # reuse embeddings from a small pool so exact similarity ties occur
             z = pool[int(rng.integers(len(pool)))]
-            e = MemoryEntry(z=z, grad=GradRecord(np.zeros(d), np.zeros(d)), entropy=0.1)
-            mem.insert(e, pseudo_label=int(rng.integers(C)))
+            label = int(rng.integers(C))
+            mem.insert(z, np.zeros(d), float(i), pseudo_label=label)
+            replay[label if split else 0].append((i, z))
         query = pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else unit(rng, d)
         k = int(rng.integers(1, 8))
-        got = mem.retrieve(query, k).entries
-        expected = brute_force_retrieve(mem, query, k)
-        assert [id(e) for e in got] == [id(e) for e in expected], f"trial {trial}"
+        got = picked(mem.retrieve(query, k))
+        expected = replay_top_k(replay, query, k if split else C * k)
+        assert got == expected, f"trial {trial}"
 
 
 def test_similarity_tie_breaks_to_more_recent_entry():
     rng = np.random.default_rng(9)
     mem = ClassMemory(num_classes=1, capacity_per_class=10)
     z = unit(rng, 4)
-    older = MemoryEntry(z=z, grad=GradRecord(np.zeros(4), np.zeros(4)), entropy=0.1)
-    newer = MemoryEntry(z=z.copy(), grad=GradRecord(np.zeros(4), np.zeros(4)), entropy=0.1)
-    mem.insert(older, 0)
-    mem.insert(newer, 0)
+    mem.insert(z, np.zeros(4), 0.0, 0)  # older
+    mem.insert(z.copy(), np.zeros(4), 1.0, 0)  # newer
     support = mem.retrieve(z, k=1)
-    assert support.entries[0] is newer
+    assert picked(support) == [1.0]
 
 
 def test_unsplit_mode_retrieves_top_ck_from_single_queue():
     rng = np.random.default_rng(10)
     mem = ClassMemory(num_classes=3, capacity_per_class=20, split=False)
     for _ in range(50):
-        mem.insert(entry(rng), pseudo_label=int(rng.integers(3)))
+        mem.insert(*row(rng), pseudo_label=int(rng.integers(3)))
     support = mem.retrieve(unit(rng, 4), k=4)
-    assert len(support) == 3 * 4
+    assert len(support["z"]) == 3 * 4
 
 
 def test_empty_memory_returns_empty_support():
     mem = ClassMemory(num_classes=2, capacity_per_class=5)
     support = mem.retrieve(np.array([1.0, 0.0]), k=3)
-    assert len(support) == 0
+    assert support == {}
 
 
 def test_retrieve_rejects_nonpositive_k():
@@ -361,27 +293,21 @@ def test_split_retrieval_is_class_balanced_when_queues_are_warm():
     mem = ClassMemory(num_classes=4, capacity_per_class=20)
     for c in range(4):
         for _ in range(20):
-            mem.insert(entry(rng), pseudo_label=c)
+            mem.insert(*row(rng, entropy=float(c)), pseudo_label=c)  # the class as payload
     support = mem.retrieve(unit(rng, 4), k=5)
-    counts = {}
-    for e in support.entries:
-        counts[e.pseudo_class] = counts.get(e.pseudo_class, 0) + 1
-    assert counts == {0: 5, 1: 5, 2: 5, 3: 5}
+    assert Counter(picked(support)) == {0.0: 5, 1.0: 5, 2.0: 5, 3.0: 5}
 
 
 def test_sample_uniform_draws_without_replacement():
     rng = np.random.default_rng(12)
     mem = ClassMemory(num_classes=2, capacity_per_class=30)
     for c in range(2):
-        for _ in range(30):
-            mem.insert(entry(rng), pseudo_label=c)
-    support = mem.sample_uniform(k=10, rng=np.random.default_rng(0))
-    assert len(support) == 20
-    assert len({id(e) for e in support.entries}) == 20
-    per_class = {0: 0, 1: 0}
-    for e in support.entries:
-        per_class[e.pseudo_class] += 1
-    assert per_class == {0: 10, 1: 10}
+        for j in range(30):
+            mem.insert(*row(rng, entropy=float(30 * c + j)), pseudo_label=c)
+    drawn = picked(mem.sample_uniform(k=10, rng=np.random.default_rng(0)))
+    assert len(drawn) == 20
+    assert len(set(drawn)) == 20
+    assert Counter(int(i) // 30 for i in drawn) == {0: 10, 1: 10}
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -391,6 +317,7 @@ def test_window_matches_deque_replay_oracle(data):
 
     Runs go past 3x capacity so every queue's window is compacted several
     times; embeddings come from a small pool so exact similarity ties occur.
+    Row i carries entropy float(i), its arrival number.
     """
     K = data.draw(st.integers(1, 8), label="capacity")
     C = data.draw(st.integers(1, 4), label="classes")
@@ -405,38 +332,34 @@ def test_window_matches_deque_replay_oracle(data):
         min_size=n, max_size=n), label="steps")
 
     mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
-    oracle = [deque(maxlen=K if split else C * K) for _ in range(C if split else 1)]
+    replay = [deque(maxlen=K if split else C * K) for _ in range(C if split else 1)]
+    d_bias = {}
     for i, (label, zi, qi, k) in enumerate(steps):
-        e = MemoryEntry(z=pool[zi], grad=grad_at(rng, pool[zi]),
-                        entropy=float(rng.uniform(0.0, 1.2)))
-        mem.insert(e, pseudo_label=label)
-        oracle[label if split else 0].append(e)
-        assert [[id(x) for x in q] for q in mem.queues] == [[id(x) for x in q] for q in oracle]
-        assert len(mem) == sum(len(q) for q in oracle)
+        d_bias[i] = rng.standard_normal(d)
+        mem.insert(pool[zi], d_bias[i], float(i), pseudo_label=label)
+        replay[label if split else 0].append((i, pool[zi]))
+        assert queues(mem) == [[(z.tobytes(), d_bias[j].tobytes(), float(j), None)
+                                for j, z in q] for q in replay]
+        assert len(mem) == sum(len(q) for q in replay)
 
         budget = k if split else C * k
         query = pool[qi]
         support = mem.retrieve(query, k)
-        expected = []
-        for q in oracle:
-            if q:
-                sims = np.stack([x.z for x in q]) @ query
-                ranked = sorted(zip(sims, q), key=lambda t: (-t[0], -t[1].seq))
-                expected.extend(x for _, x in ranked[:budget])
-        assert [id(x) for x in support.entries] == [id(x) for x in expected]
-        stacks = support.stacks()
-        for key, value in (("z", lambda x: x.z), ("d_weight", lambda x: x.grad.d_weight),
-                           ("d_bias", lambda x: x.grad.d_bias), ("entropy", lambda x: x.entropy)):
-            np.testing.assert_array_equal(stacks[key], np.array([value(x) for x in expected]))
+        expected = replay_top_k(replay, query, budget)
+        assert picked(support) == expected
+        rows = [int(j) for j in expected]
+        np.testing.assert_array_equal(support["z"], np.array([pool[steps[j][1]] for j in rows]))
+        np.testing.assert_array_equal(support["d_bias"], np.array([d_bias[j] for j in rows]))
+        np.testing.assert_array_equal(support["d_weight"], support["d_bias"] * support["z"])
 
-        drawn = mem.sample_uniform(k, np.random.default_rng(i)).entries
+        drawn = picked(mem.sample_uniform(k, np.random.default_rng(i)))
         clone = np.random.default_rng(i)
         expected = []
-        for q in oracle:
+        for q in replay:
             if q:
                 idx = clone.choice(len(q), size=min(budget, len(q)), replace=False)
-                expected.extend(q[int(j)] for j in idx)
-        assert [id(x) for x in drawn] == [id(x) for x in expected]
+                expected.extend(float(q[int(j)][0]) for j in idx)
+        assert drawn == expected
 
 
 @settings(max_examples=60)
@@ -445,7 +368,8 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
     """`select` over a query block equals one `retrieve` per query; with a cloned
     generator its uniform draws equal one `sample_uniform` call per query.
 
-    Embeddings and queries come from a small pool so exact similarity ties occur.
+    Embeddings and queries come from a small pool so exact similarity ties occur;
+    row i carries entropy float(i), its arrival number.
     """
     C = data.draw(st.integers(1, 4), label="classes")
     K = data.draw(st.integers(1, 8), label="capacity")
@@ -457,11 +381,10 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
     rng = np.random.default_rng(seed)
     pool = [unit(rng, d) for _ in range(data.draw(st.integers(1, 3 * K), label="pool"))]
     mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
-    for _ in range(data.draw(st.integers(1, 4 * C * K), label="inserts")):
+    for i in range(data.draw(st.integers(1, 4 * C * K), label="inserts")):
         z = pool[int(rng.integers(len(pool)))]
-        e = MemoryEntry(z=z, grad=grad_at(rng, z), entropy=float(rng.uniform(0.0, 1.2)),
-                        domain_id=f"dom{rng.integers(3)}")
-        mem.insert(e, pseudo_label=int(rng.integers(C)))
+        mem.insert(z, rng.standard_normal(d), float(i), pseudo_label=int(rng.integers(C)),
+                   domain=f"dom{rng.integers(3)}")
     queries = np.stack([pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else unit(rng, d)
                         for _ in range(B)])
 
@@ -469,15 +392,11 @@ def test_batched_select_matches_per_query_retrieve_and_draws(data):
     drawn = mem.select(queries, k, np.random.default_rng(seed))
     clone = np.random.default_rng(seed)
     for i, query in enumerate(queries):
-        for got, expected in ((block, mem.retrieve(query, k).entries),
-                              (drawn, mem.sample_uniform(k, clone).entries)):
-            assert [id(e) for e in mem.entries(got["rows"][i])] == [id(e) for e in expected]
-            names = [mem.domain_names[c] for c in got["domain"][i]]
-            assert names == [e.domain_id for e in expected]
-            for key, value in (("z", lambda e: e.z), ("entropy", lambda e: e.entropy),
-                               ("d_weight", lambda e: e.grad.d_weight),
-                               ("d_bias", lambda e: e.grad.d_bias)):
-                np.testing.assert_array_equal(got[key][i], np.array([value(e) for e in expected]))
+        for got, expected in ((block, mem.retrieve(query, k)),
+                              (drawn, mem.sample_uniform(k, clone))):
+            assert sorted(got) == sorted(expected) == sorted(COLUMNS + ("d_weight",))
+            for key in expected:
+                np.testing.assert_array_equal(got[key][i], expected[key])
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -489,7 +408,8 @@ def test_select_top_k_matches_a_per_queue_sort_oracle(data):
 
     Queue sizes are unequal (empty queues, queues below the budget, queues that
     wrapped), and embeddings and queries come from a small pool, so within one block
-    a tie crosses the budget's cut in some rows and not in others.
+    a tie crosses the budget's cut in some rows and not in others.  Row i carries
+    entropy float(i), its arrival number.
     """
     C = data.draw(st.integers(1, 5), label="classes")
     K = data.draw(st.integers(1, 8), label="capacity")
@@ -504,15 +424,16 @@ def test_select_top_k_matches_a_per_queue_sort_oracle(data):
     z = np.array([pool[int(j)] for j in rng.integers(len(pool), size=len(labels))]).reshape(-1, d)
     mem = ClassMemory(num_classes=C, capacity_per_class=K, split=split)
     cap = K if split else C * K
-    queues = [deque(maxlen=cap) for _ in range(C if split else 1)]
+    replay = [deque(maxlen=cap) for _ in range(C if split else 1)]
     start = 0
     while start < len(labels):
         stop = start + int(rng.integers(1, 2 * K + 1))
         r = len(z[start:stop])
-        mem.insert_block(z[start:stop], rng.standard_normal((r, d)), rng.uniform(0.0, 1.2, r),
-                         labels[start:stop], [None] * r)
+        mem.insert_block(z[start:stop], rng.standard_normal((r, d)),
+                         np.arange(start, start + r, dtype=np.float64), labels[start:stop],
+                         [None] * r)
         for seq in range(start, min(stop, len(labels))):
-            queues[labels[seq] if split else 0].append((seq, z[seq]))
+            replay[labels[seq] if split else 0].append((seq, z[seq]))
         start = stop
     queries = np.stack([pool[int(rng.integers(len(pool)))] if rng.random() < 0.7
                         else unit(rng, d) for _ in range(B)])
@@ -523,15 +444,10 @@ def test_select_top_k_matches_a_per_queue_sort_oracle(data):
         return
     budget = k if split else C * k
     for b, query in enumerate(queries):
-        expected = []
-        for queue in queues:
-            if queue:
-                sims = np.stack([zq for _, zq in queue]) @ query
-                ranked = sorted(range(len(queue)), key=lambda j: (-sims[j], -j))
-                expected.extend(queue[j] for j in ranked[:budget])
-        assert block["rows"].shape == (B, len(expected))
-        np.testing.assert_array_equal(block["z"][b], np.array([zq for _, zq in expected]))
-        assert [e.seq for e in mem.entries(block["rows"][b])] == [seq for seq, _ in expected]
+        expected = replay_top_k(replay, query, budget)
+        assert block["z"].shape == (B, len(expected), d)
+        np.testing.assert_array_equal(block["z"][b], z[[int(i) for i in expected]])
+        assert block["entropy"][b].tolist() == expected
 
 
 def test_select_ranks_every_queue_in_one_top_call(monkeypatch):
@@ -541,7 +457,7 @@ def test_select_ranks_every_queue_in_one_top_call(monkeypatch):
     mem = ClassMemory(num_classes=4, capacity_per_class=10)
     for c in range(4):
         for _ in range(10):
-            mem.insert(entry(rng), pseudo_label=c)
+            mem.insert(*row(rng), pseudo_label=c)
     shapes = []
     top = retta.memory._top
     monkeypatch.setattr(retta.memory, "_top",
@@ -549,7 +465,7 @@ def test_select_ranks_every_queue_in_one_top_call(monkeypatch):
     for B in (1, 3):
         shapes.clear()
         block = mem.select(np.stack([unit(rng, 4) for _ in range(B)]), k=5)
-        assert block["rows"].shape == (B, 20)
+        assert block["z"].shape[:2] == (B, 20)
         assert shapes == [(4 * B, 10)]
 
 
@@ -695,62 +611,68 @@ def test_block_draw_falls_back_when_lemire_would_redraw():
 # ---------------------------------------------------------------- weigh
 
 
+def support_of(rng, n, d=4, entropies=None):
+    """A one-query support of n random rows as `retrieve` gives it: unit z, random dH/dz,
+    d_weight = dH/dz * z."""
+    z = np.stack([unit(rng, d) for _ in range(n)])
+    d_bias = rng.standard_normal((n, d))
+    entropy = rng.uniform(0.0, 1.2, n) if entropies is None else np.array(entropies, dtype=float)
+    return {"z": z, "d_bias": d_bias, "d_weight": d_bias * z, "entropy": entropy,
+            "domain": np.full(n, -1)}
+
+
 def test_weights_uniform_when_both_factors_collapse():
     rng = np.random.default_rng(13)
-    entries = [entry(rng, entropy=0.0) for _ in range(5)]
-    support = SupportSet(entries=entries)
-    weighed = weigh(support, unit(rng, 4), beta=0.0)
-    np.testing.assert_allclose(weighed.raw_weights, np.ones(5), atol=1e-15)
-    np.testing.assert_allclose(weighed.weights, np.full(5, 0.2), atol=1e-15)
+    raw, weights = weigh(support_of(rng, 5, entropies=[0.0] * 5), unit(rng, 4), beta=0.0)
+    np.testing.assert_allclose(raw, np.ones(5), atol=1e-15)
+    np.testing.assert_allclose(weights, np.full(5, 0.2), atol=1e-15)
 
 
 def test_zero_distance_entry_keeps_pure_entropy_weight():
     rng = np.random.default_rng(14)
-    near = entry(rng, entropy=0.7)
-    far = entry(rng, entropy=0.2)
-    weighed = weigh(SupportSet(entries=[near, far]), near.z, beta=3.0)
-    np.testing.assert_allclose(weighed.raw_weights[0], np.exp(-0.7), rtol=1e-15)
+    support = support_of(rng, 2, entropies=[0.7, 0.2])  # near, far
+    raw, _ = weigh(support, support["z"][0], beta=3.0)
+    np.testing.assert_allclose(raw[0], np.exp(-0.7), rtol=1e-15)
 
 
 def test_weights_match_direct_formula_oracle():
     rng = np.random.default_rng(15)
     for _ in range(50):
-        entries = [entry(rng) for _ in range(int(rng.integers(1, 12)))]
+        support = support_of(rng, int(rng.integers(1, 12)))
         query = unit(rng, 4)
         beta = float(rng.uniform(0.0, 8.0))
-        weighed = weigh(SupportSet(entries=entries), query, beta)
-        raw = np.array(
-            [np.exp(-e.entropy) * np.exp(-beta * np.linalg.norm(query - e.z)) for e in entries]
-        )
-        np.testing.assert_allclose(weighed.raw_weights, raw, rtol=1e-14)
-        np.testing.assert_allclose(weighed.weights, raw / raw.sum(), rtol=1e-12)
-        assert abs(weighed.weights.sum() - 1.0) < 1e-12
-        assert np.all(weighed.raw_weights > 0.0)
+        raw, weights = weigh(support, query, beta)
+        expected = np.array([np.exp(-h) * np.exp(-beta * np.linalg.norm(query - z))
+                             for z, h in zip(support["z"], support["entropy"])])
+        np.testing.assert_allclose(raw, expected, rtol=1e-14)
+        np.testing.assert_allclose(weights, expected / expected.sum(), rtol=1e-12)
+        assert abs(weights.sum() - 1.0) < 1e-12
+        assert np.all(raw > 0.0)
 
 
 def test_weigh_is_permutation_equivariant():
     rng = np.random.default_rng(16)
-    entries = [entry(rng) for _ in range(8)]
+    support = support_of(rng, 8)
     query = unit(rng, 4)
-    base = weigh(SupportSet(entries=entries), query, beta=4.0)
+    base_raw, base = weigh(support, query, beta=4.0)
     perm = np.random.default_rng(1).permutation(8)
-    shuffled = weigh(SupportSet(entries=[entries[i] for i in perm]), query, beta=4.0)
+    shuffled_raw, shuffled = weigh({key: v[perm] for key, v in support.items()}, query, beta=4.0)
     # the normalizing sum's rounding depends on entry order, so equivariance
     # holds to machine precision rather than bitwise
-    np.testing.assert_allclose(shuffled.weights, base.weights[perm], rtol=1e-14)
-    np.testing.assert_allclose(shuffled.raw_weights, base.raw_weights[perm], rtol=1e-14)
+    np.testing.assert_allclose(shuffled, base[perm], rtol=1e-14)
+    np.testing.assert_allclose(shuffled_raw, base_raw[perm], rtol=1e-14)
 
 
 def test_raising_beta_shifts_weight_toward_the_nearest_entry():
     rng = np.random.default_rng(17)
     for _ in range(30):
-        entries = [entry(rng) for _ in range(6)]
+        support = support_of(rng, 6)
         query = unit(rng, 4)
-        dists = [np.linalg.norm(query - e.z) for e in entries]
+        dists = [np.linalg.norm(query - z) for z in support["z"]]
         near, far = int(np.argmin(dists)), int(np.argmax(dists))
         prev_ratio = None
         for beta in (0.0, 1.0, 3.0, 9.0):
-            w = weigh(SupportSet(entries=entries), query, beta).weights
+            _, w = weigh(support, query, beta)
             ratio = w[far] / w[near]
             if prev_ratio is not None:
                 assert ratio <= prev_ratio * (1.0 + 1e-12)
@@ -759,45 +681,34 @@ def test_raising_beta_shifts_weight_toward_the_nearest_entry():
 
 def test_weighting_factors_can_be_disabled():
     rng = np.random.default_rng(18)
-    entries = [entry(rng) for _ in range(4)]
+    support = support_of(rng, 4)
     query = unit(rng, 4)
-    no_ent = weigh(SupportSet(entries=entries), query, beta=2.0, entropy_weighting=False)
-    expected = np.array([np.exp(-2.0 * np.linalg.norm(query - e.z)) for e in entries])
-    np.testing.assert_allclose(no_ent.raw_weights, expected, rtol=1e-14)
-    no_sim = weigh(SupportSet(entries=entries), query, beta=2.0, similarity_weighting=False)
-    expected = np.array([np.exp(-e.entropy) for e in entries])
-    np.testing.assert_allclose(no_sim.raw_weights, expected, rtol=1e-14)
-    neither = weigh(SupportSet(entries=entries), query, beta=0.0,
-                    entropy_weighting=False, similarity_weighting=False)
-    np.testing.assert_allclose(neither.weights, 0.25, atol=1e-15)
+    no_ent, _ = weigh(support, query, beta=2.0, entropy_weighting=False)
+    expected = np.array([np.exp(-2.0 * np.linalg.norm(query - z)) for z in support["z"]])
+    np.testing.assert_allclose(no_ent, expected, rtol=1e-14)
+    no_sim, _ = weigh(support, query, beta=2.0, similarity_weighting=False)
+    np.testing.assert_allclose(no_sim, np.exp(-support["entropy"]), rtol=1e-14)
+    _, neither = weigh(support, query, beta=0.0, entropy_weighting=False,
+                       similarity_weighting=False)
+    np.testing.assert_allclose(neither, 0.25, atol=1e-15)
 
 
 def test_weigh_rejects_empty_support_and_negative_beta():
     rng = np.random.default_rng(19)
     with pytest.raises(ValueError, match="empty"):
-        weigh(SupportSet(entries=[]), unit(rng, 4), beta=1.0)
+        weigh({}, unit(rng, 4), beta=1.0)
     with pytest.raises(ValueError, match="beta"):
-        weigh(SupportSet(entries=[entry(rng)]), unit(rng, 4), beta=-0.5)
+        weigh(support_of(rng, 1), unit(rng, 4), beta=-0.5)
 
 
 def test_large_beta_normalization_survives_raw_underflow_threshold():
     # log-domain shift keeps normalized weights healthy even when raw values
     # span hundreds of orders of magnitude
     rng = np.random.default_rng(20)
-    entries = [entry(rng, entropy=0.5) for _ in range(4)]
-    query = entries[0].z
-    weighed = weigh(SupportSet(entries=entries), query, beta=500.0)
-    assert abs(weighed.weights.sum() - 1.0) < 1e-12
-    assert weighed.weights[0] > 0.99
-
-
-def test_with_raw_weights_normalizes_by_the_sum():
-    rng = np.random.default_rng(21)
-    entries = [entry(rng) for _ in range(3)]
-    support = SupportSet(entries=entries).with_raw_weights(np.array([1.0, 3.0, 4.0]))
-    np.testing.assert_allclose(support.weights, [0.125, 0.375, 0.5], atol=1e-15)
-    with pytest.raises(ValueError, match="positive"):
-        SupportSet(entries=entries).with_raw_weights(np.array([1.0, 0.0, 2.0]))
+    support = support_of(rng, 4, entropies=[0.5] * 4)
+    _, weights = weigh(support, support["z"][0], beta=500.0)
+    assert abs(weights.sum() - 1.0) < 1e-12
+    assert weights[0] > 0.99
 
 
 @settings(max_examples=60)
@@ -809,6 +720,7 @@ def test_rescaled_raw_weights_leave_weights_and_signsgd_logits_unchanged(data):
     logits stay bitwise equal; any scale in [1e-6, 1e6] moves a weight by at
     most 1e-15 relative.  Entropies in [0, 5], distances in [0, 2] and beta in
     [0, 20] keep every raw weight above e^-45, so scaled ones stay normal floats.
+    Raw weights w are renormalized as w / w.sum().
     """
     n = data.draw(st.integers(1, 30), label="support")
     d = data.draw(st.integers(2, 16), label="dim")
@@ -820,19 +732,21 @@ def test_rescaled_raw_weights_leave_weights_and_signsgd_logits_unchanged(data):
     power = data.draw(st.integers(-40, 40), label="power")
     scale = data.draw(st.floats(1e-6, 1e6), label="scale")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    entries = [entry(rng, d, entropy=h) for h in entropies]
+    support = support_of(rng, n, d, entropies)
     query = unit(rng, d)
     bank = TextBank(np.stack([unit(rng, d) for _ in range(C)]), float(rng.uniform(0.0, 4.0)),
                     [f"c{i}" for i in range(C)])
 
-    raw = weigh(SupportSet(entries=entries), query, beta, entropy_weighting=entropy_weighting,
-                similarity_weighting=similarity_weighting).raw_weights
-    base = SupportSet(entries=entries).with_raw_weights(raw)
-    exact = SupportSet(entries=entries).with_raw_weights(2.0**power * raw)
-    np.testing.assert_array_equal(exact.weights, base.weights)
+    raw, _ = weigh(support, query, beta, entropy_weighting=entropy_weighting,
+                   similarity_weighting=similarity_weighting)
+
+    def normalized(w):
+        return w / w.sum()
+
+    base, exact = normalized(raw), normalized(2.0**power * raw)
+    np.testing.assert_array_equal(exact, base)
     params0 = AffineParams.pretrained(d)
-    logits = [predict(forward(query, signsgd_step(params0, aggregate(s), 1e-2)), bank).logits
-              for s in (base, exact)]
+    logits = [predict(forward(query, signsgd_step(params0, aggregate(support, w), 1e-2)),
+                      bank).logits for w in (base, exact)]
     np.testing.assert_array_equal(logits[1], logits[0])
-    scaled = SupportSet(entries=entries).with_raw_weights(scale * raw)
-    np.testing.assert_allclose(scaled.weights, base.weights, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(normalized(scale * raw), base, rtol=1e-15, atol=0)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a retta module imports is used in that module, every private
 constant it defines is read there, every name `retta.__all__` exports is bound, every file is
-written through `model.create_file`, and every function the benchmark's tracer wraps is bound
-where the tracer looks it up."""
+written through `model.create_file`, every function the benchmark's tracer wraps is bound
+where the tracer looks it up, and every name a docstring quotes in backticks is bound
+somewhere in the package."""
 
 from __future__ import annotations
 
@@ -96,6 +97,53 @@ def test_writes_outside_the_writer_finds_each_way_to_open_for_writing():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_writes_files_only_through_create_file(path):
     assert writes_outside_the_writer(path.read_text()) == []
+
+
+# backticked words in docstrings that name no Python binding: the CLI's subcommands and
+# perfbench workloads
+DOCSTRING_WORDS = {"analyze", "online"}
+
+
+def unbound_docstring_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(file, name) for each backticked identifier or dotted name in a docstring of
+    `sources` (file name -> source) with a part that no source binds: as a def, class,
+    name, attribute, argument, import or module (a file's stem)."""
+    bound = {Path(name).stem for name in sources}
+    docs = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Name):
+                bound.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                bound.add(node.attr)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, ast.alias):
+                bound.update([node.asname or node.name, *node.name.split(".")])
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                bound.update(node.module.split("."))
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                docs.append((file, ast.get_docstring(node) or ""))
+    quoted = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
+    return sorted({(file, name) for file, doc in docs for name in quoted.findall(doc)
+                   if not set(name.split(".")) <= bound})
+
+
+def test_unbound_docstring_names_finds_a_stale_name():
+    source = ('"""`os.path`, `Gone`, `keep.gone` and `f(x)`."""\nimport os.path\n'
+              'def keep(arg):\n    """`arg`, `keep`, `os` and `path.join` are bound."""\n'
+              '    return arg.join\n')
+    assert unbound_docstring_names({"keep.py": source}) == [("keep.py", "Gone"),
+                                                            ("keep.py", "keep.gone")]
+
+
+def test_docstrings_quote_only_bound_names():
+    package = Path(retta.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [(file, name) for file, name in unbound_docstring_names(sources)
+            if name not in DOCSTRING_WORDS] == []
 
 
 def test_every_exported_name_is_bound():
