@@ -1,12 +1,14 @@
 """Command-line surface: generate datasets, run methods, verify, analyze.
 
 Every command writes a manifest.json next to its outputs with the fully
-resolved configuration (defaults included), input paths, the Python, numpy
-and retta versions, and SHA-256 hashes of every written artifact, so a run
-can be audited and reproduced exactly.  A run also hashes the two dataset
-files it read; `analyze` copies the run's bins.csv only when those hashes,
-the seed, the numpy and retta versions and the file's own hash prove it
-current, and recomputes it otherwise.
+resolved configuration (defaults included), input paths, the environment (the
+Python, numpy and retta versions, and the BLAS numpy was built with and the
+kernel it runs), and SHA-256 hashes of every written artifact, so a run can be
+audited and reproduced exactly.  A run also hashes the two dataset files it
+read.  `analyze` copies a run's output instead of recomputing it when the run
+manifest proves it current: the manifest records today's environment, and
+the file and its sources hash as recorded.  composition.csv's source is
+trace.jsonl; bins.csv's are the dataset files, and its seed must be the run's.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
@@ -14,6 +16,8 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import platform
@@ -64,7 +68,28 @@ def _sha256(path: Path) -> str:
 
 
 def _environment() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__, "retta": __version__}
+    return {"python": platform.python_version(), "numpy": np.__version__, "retta": __version__,
+            "blas": dict(_blas())}
+
+
+@functools.cache
+def _blas() -> dict:
+    """The BLAS numpy was built with, and the kernel it runs when it is numpy's bundled
+    OpenBLAS; None where numpy does not say.  The kernel can change the rounding of
+    `np.linalg.norm`, which loading a dataset uses."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        build = {}
+    try:
+        from numpy._core import _multiarray_umath
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):  # not numpy 2's bundled OpenBLAS
+        kernel = None
+    else:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = (corename() or b"").decode() or None
+    return {"name": build.get("name"), "version": build.get("version"), "kernel": kernel}
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
@@ -192,41 +217,26 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _recorded_bins(run_dir: Path, recorded: dict, digests: dict, dataset_dir: str,
-                   seed: int) -> str | None:
-    """The run's bins.csv text if recomputing it would give the same bytes, else None.
+def _proven(recorded: object, path: Path, hashes: dict[Path, object]) -> bytes | None:
+    """The bytes of the run output `path` if the run manifest `recorded` proves that
+    analyze would write them too, else None.
 
-    That holds when the run recorded the seed, the numpy and retta versions and
-    the hashes (`digests`) of the dataset files that analyze would use, and of
-    its bins.csv as it is now.  The run's `renormalize` is the one analyze loads with.
+    That holds when the manifest records today's whole environment and every file in
+    `hashes`, `path` included, has the sha256 given for it there.
     """
-    environment = recorded.get("environment")
-    outputs = recorded.get("outputs")
-    bins_path = run_dir / "bins.csv"
-    if (not digests or seed != recorded.get("seed") or not isinstance(environment, dict)
-            or environment.get("numpy") != np.__version__
-            or environment.get("retta") != __version__
-            or not isinstance(outputs, dict) or not bins_path.is_file()):
+    if (not isinstance(recorded, dict) or recorded.get("environment") != _environment()
+            or not path.is_file()):
         return None
-    for name in _DATASET_FILES:
-        path = Path(dataset_dir) / name
-        if not path.is_file() or _sha256(path) != digests.get(name):
+    for proof, digest in hashes.items():
+        if proof != path and (not proof.is_file() or _sha256(proof) != digest):
             return None
-    data = bins_path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != outputs.get("bins.csv"):
-        return None
-    return data.decode()
+    data = path.read_bytes()
+    return data if hashlib.sha256(data).hexdigest() == hashes.get(path) else None
 
 
-def cmd_analyze(args) -> int:
-    run_dir = Path(args.run)
-    if Path(args.out).resolve() == run_dir.resolve():
-        raise ValidationError(f"--out {args.out} is the run directory; analyze would "
-                              "overwrite the run's manifest.json")
-    trace_path = run_dir / "trace.jsonl"
-    if not trace_path.exists():
-        raise ValidationError(f"trace not found: {trace_path}")
-
+def _read_trace(trace_path: Path) -> tuple[list[str], list[list[str]]]:
+    """Each trace row's domain and support domains, or a ValidationError naming the first
+    bad line."""
     domains, supports = [], []
     with open(trace_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -245,13 +255,42 @@ def cmd_analyze(args) -> int:
                                       "of strings")
             domains.append(row["domain"])
             supports.append(support)
+    return domains, supports
 
-    # default to the dataset, seed and --renormalize that the run recorded
+
+def _write_copy(path: Path, data: bytes) -> Path:
+    with model.create_file(path, newline="") as fh:
+        fh.write(data.decode())
+    return path
+
+
+def cmd_analyze(args) -> int:
+    run_dir = Path(args.run)
+    if Path(args.out).resolve() == run_dir.resolve():
+        raise ValidationError(f"--out {args.out} is the run directory; analyze would "
+                              "overwrite the run's manifest.json")
+    trace_path = run_dir / "trace.jsonl"
+    if not trace_path.exists():
+        raise ValidationError(f"trace not found: {trace_path}")
+
+    # default to the dataset, seed and --renormalize that the run recorded; a manifest
+    # that cannot be read proves nothing, and its error comes after the trace's
     manifest_path = run_dir / "manifest.json"
     try:
         recorded = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{manifest_path}: invalid JSON ({exc.msg})")
+        recorded = ValidationError(f"{manifest_path}: invalid JSON ({exc.msg})")
+    except (OSError, ValueError) as exc:
+        recorded = exc
+    outputs = recorded.get("outputs") if isinstance(recorded, dict) else None
+    outputs = outputs if isinstance(outputs, dict) else {}
+    composition = _proven(recorded, run_dir / "composition.csv",
+                          {run_dir / name: outputs.get(name)
+                           for name in ("trace.jsonl", "composition.csv")})
+    if composition is None:
+        domains, supports = _read_trace(trace_path)
+    if isinstance(recorded, Exception):
+        raise recorded
     inputs = recorded.get("inputs", {}) if isinstance(recorded, dict) else None
     if not isinstance(inputs, dict):
         raise ValidationError(f"{manifest_path}: expected a JSON object with an 'inputs' object")
@@ -266,22 +305,27 @@ def cmd_analyze(args) -> int:
         raise ValidationError(f"{manifest_path}: 'seed' must be a non-negative integer, "
                               "'inputs.renormalize' a boolean, 'inputs.dataset' a string and "
                               "'inputs.sha256' an object of strings")
-    stream = reused = None
+    # the run's bins.csv is current if the dataset files analyze loads and the seed are the run's
+    stream = bins = None
     if dataset_dir is not None:
-        reused = _recorded_bins(run_dir, recorded, digests, dataset_dir, seed)
-        if reused is None:
+        if digests and seed == recorded.get("seed"):
+            bins = _proven(recorded, run_dir / "bins.csv",
+                           {Path(dataset_dir) / name: digests.get(name) for name in _DATASET_FILES}
+                           | {run_dir / "bins.csv": outputs.get("bins.csv")})
+        if bins is None:
             stream, _ = _load_dataset(dataset_dir, renormalize=renormalize)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    order = tuple(sorted(set(domains)))
-    composition = analysis.composition_matrix(model.domain_codes([domains], order)[0],
-                                              model.domain_codes(supports, order), len(order))
-    written = [analysis.write_composition_csv(out_dir / "composition.csv", order, composition)]
-    if reused is not None:
-        with model.create_file(out_dir / "bins.csv", newline="") as fh:
-            fh.write(reused)
-        written.append(out_dir / "bins.csv")
+    if composition is not None:
+        written = [_write_copy(out_dir / "composition.csv", composition)]
+    else:
+        order = tuple(sorted(set(domains)))
+        matrix = analysis.composition_matrix(model.domain_codes([domains], order)[0],
+                                             model.domain_codes(supports, order), len(order))
+        written = [analysis.write_composition_csv(out_dir / "composition.csv", order, matrix)]
+    if bins is not None:
+        written.append(_write_copy(out_dir / "bins.csv", bins))
     elif stream is not None:
         written.append(analysis.write_bins_csv(out_dir / "bins.csv",
                                                _similarity_bins(stream, seed)))
@@ -403,8 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze", help="recompute diagnostics from run artifacts",
         description="Recompute composition.csv from the run's trace, and bins.csv from the "
-        "dataset. The run's bins.csv is copied instead when the run manifest's hashes of the "
-        "dataset files and of bins.csv, its seed and its numpy and retta versions all match.")
+        "dataset. A run file is copied instead when the run manifest proves it current: the "
+        "manifest records today's environment (Python, numpy, retta, BLAS and its kernel), "
+        "the file hashes as its outputs record, and so do its sources: trace.jsonl for "
+        "composition.csv, and for bins.csv the dataset files, as inputs.sha256 records; bins.csv "
+        "also needs the run's seed.")
     p_analyze.add_argument("--run", required=True, help="run directory (from run)")
     p_analyze.add_argument("--out", required=True, help="output directory")
     p_analyze.add_argument("--dataset", default=None,
@@ -422,7 +469,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ValidationError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even when the message quotes a path or value with a line break in it
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 1
 
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -339,6 +342,46 @@ def test_bins_equal_the_stable_argsort_oracle_bitwise(data):
                           seed=seed)
     want = stable_argsort_bins(samples, num_bins=num_bins, max_pairs=max_pairs, seed=seed)
     assert got.tobytes() == want.tobytes()
+
+
+def test_sampled_bins_break_a_tie_that_straddles_a_cut_in_pair_order():
+    rng = np.random.default_rng(11)
+    pool = [unit(rng, 6) for _ in range(5)]  # 200 rows, 5 distinct: 15 similarity values
+    samples = [Sample(feature=pool[i % 5], true_label=0, domain_id=f"d{int(rng.integers(3))}")
+               for i in range(200)]
+    max_pairs, seed = 5000, 4  # of 19900 pairs: the sampled path
+    # the pairs similarity_bins draws, and where their deciles cut the descending ranks
+    pair_rng = np.random.default_rng(seed)
+    ii = pair_rng.integers(0, 200, size=max_pairs)
+    jj = pair_rng.integers(0, 199, size=max_pairs)
+    jj += jj >= ii
+    feats = np.stack([s.feature for s in samples])
+    sims = np.einsum("ij,ij->i", feats[ii], feats[jj])
+    same = np.array([samples[i].domain_id == samples[j].domain_id for i, j in zip(ii, jj)])
+    descending = -np.sort(-sims)
+    cuts = np.cumsum([len(c) for c in np.array_split(descending, 10)])[:-1]
+    straddled = [descending[e] for e in cuts if descending[e - 1] == descending[e]]
+    # a tie cut in two holds pairs of both kinds, so only pair order decides each bin's count
+    assert any(len(set(same[sims == v])) == 2 for v in straddled)
+    got = similarity_bins(Stream.from_samples(samples), max_pairs=max_pairs, seed=seed)
+    assert got.tobytes() == stable_argsort_bins(samples, max_pairs=max_pairs,
+                                                seed=seed).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bins_are_the_same_bytes_with_or_without_the_worker_thread(monkeypatch, cpus):
+    rng = np.random.default_rng(12)
+    samples = [labeled_sample(rng, 8, 0, f"d{i % 3}") for i in range(300)]  # 11 pair chunks
+    submitted = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, *args, _real=ThreadPoolExecutor.submit:
+                        submitted.append(args) or _real(pool, *args))
+    threads = threading.active_count()
+    got = similarity_bins(Stream.from_samples(samples), seed=0)
+    assert threading.active_count() == threads
+    assert len(submitted) == (cpus > 1)
+    assert got.tobytes() == stable_argsort_bins(samples, seed=0).tobytes()
 
 
 def test_bins_on_the_reference_pairs_stay_within_64_mib_and_match_the_oracle():

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import platform
 import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retta
-from retta import analysis, datagen
+from retta import analysis, cli, datagen, model
 from retta.cli import _load_dataset, _similarity_bins, main
 
 
@@ -189,6 +198,22 @@ def test_run_names_the_capacity_when_the_memory_exceeds_an_array_dimension(tmp_p
     line = _single_error_line(capsys.readouterr().err)
     assert f"capacity_per_class {2**62} x num_classes 3" in line, line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_an_error_naming_a_path_with_a_line_break_stays_on_one_line(tmp_path, dataset_dir,
+                                                                     capsys, command):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    argv = ["run", "--dataset", "data\nset", "--method", "zeroshot", "--config", str(acfg),
+            "--out", str(tmp_path / "run")]
+    if command == "analyze":
+        argv[2] = str(dataset_dir)
+        assert main(argv) == 0
+        _edit_manifest(tmp_path / "run", lambda m: m["inputs"].update(dataset="data\nset"))
+        argv = ["analyze", "--run", str(tmp_path / "run"), "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "data\\nset" in _single_error_line(capsys.readouterr().err)
 
 
 def test_run_rejects_empty_dataset(tmp_path, dataset_dir, capsys):
@@ -425,6 +450,8 @@ _REUSE_CASES = {
         run_dir, lambda m: m["environment"].update(numpy="0.0.1"))),
     "retta-version-changed": (False, lambda tmp_path, run_dir, data: _edit_manifest(
         run_dir, lambda m: m["environment"].update(retta="0.0.1"))),
+    "blas-kernel-changed": (False, lambda tmp_path, run_dir, data: _edit_manifest(
+        run_dir, lambda m: m["environment"]["blas"].update(kernel="Other"))),
     "no-input-hashes": (False, lambda tmp_path, run_dir, data: _strip_input_hashes(run_dir)),
 }
 
@@ -461,6 +488,177 @@ def test_analyze_reuses_the_run_bins_only_when_the_manifest_proves_them_current(
     if reused:
         assert (out / "bins.csv").read_bytes() == run_bins
     assert (out / "composition.csv").read_bytes() == (run_dir / "composition.csv").read_bytes()
+
+
+def recomputed_composition(run_dir, path):
+    """The oracle: composition.csv recomputed from the run's trace as it is now."""
+    rows = [json.loads(line) for line in (run_dir / "trace.jsonl").read_text().splitlines()
+            if line.strip()]
+    order = tuple(sorted({row["domain"] for row in rows}))
+    matrix = analysis.composition_matrix(
+        model.domain_codes([[row["domain"] for row in rows]], order)[0],
+        model.domain_codes([row["support_domains"] for row in rows], order), len(order))
+    return analysis.write_composition_csv(path, order, matrix).read_bytes()
+
+
+def _edit_run_composition(run_dir):
+    path = run_dir / "composition.csv"
+    path.write_bytes(path.read_bytes().replace(b",", b",1", 1))
+
+
+def _move_support_out_of_its_domain(row):
+    other = "dom1" if row["domain"] == "dom0" else "dom0"
+    row.update(support_domains=[other] * len(row["support_domains"]))
+
+
+# each case edits the run after it is written; True when the run's composition.csv is proven
+_COMPOSITION_CASES = {
+    "unchanged": (True, lambda run_dir: None),
+    "trace-edited": (False, lambda run_dir: _rewrite_jsonl_row(
+        run_dir / "trace.jsonl", 3, _move_support_out_of_its_domain)),
+    "composition-edited": (False, _edit_run_composition),
+    "no-composition-hash": (False, lambda run_dir: _edit_manifest(
+        run_dir, lambda m: m["outputs"].pop("composition.csv"))),
+    "no-trace-hash": (False, lambda run_dir: _edit_manifest(
+        run_dir, lambda m: m["outputs"].pop("trace.jsonl"))),
+    "numpy-version-changed": (False, lambda run_dir: _edit_manifest(
+        run_dir, lambda m: m["environment"].update(numpy="0.0.1"))),
+    "retta-version-changed": (False, lambda run_dir: _edit_manifest(
+        run_dir, lambda m: m["environment"].update(retta="0.0.1"))),
+    "blas-changed": (False, lambda run_dir: _edit_manifest(
+        run_dir, lambda m: m["environment"]["blas"].update(version="0.0.1"))),
+    "no-manifest": (False, lambda run_dir: (run_dir / "manifest.json").unlink()),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPOSITION_CASES))
+def test_analyze_copies_the_run_composition_only_when_the_manifest_proves_it_current(
+        tmp_path, dataset_dir, monkeypatch, case):
+    proven, edit = _COMPOSITION_CASES[case]
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "retta",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    run_composition = (run_dir / "composition.csv").read_bytes()
+    edit(run_dir)
+
+    parsed = []
+    monkeypatch.setattr(cli, "_read_trace",
+                        lambda path, _real=cli._read_trace: parsed.append(path) or _real(path))
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert len(parsed) == (0 if proven else 1)
+
+    oracle = recomputed_composition(run_dir, tmp_path / "oracle.csv")
+    assert (out / "composition.csv").read_bytes() == oracle
+    assert (oracle != run_composition) == (case == "trace-edited")
+
+
+def test_the_recorded_blas_kernel_is_the_one_the_process_runs(tmp_path):
+    if cli._blas()["kernel"] is None:
+        pytest.skip("numpy here does not bundle OpenBLAS, which alone reports its kernel")
+    probe = "from retta import cli; print(cli._blas()['kernel'])"
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    kernel = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout.strip()
+    assert kernel == "Nehalem" != cli._blas()["kernel"]
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A dataset and a retta run over it, which each fuzzed analyze copies and edits."""
+    base = tmp_path_factory.mktemp("small-run")
+    data, run_dir = base / "data", base / "run"
+    assert main(["gen", "--config", str(write_stream_config(base / "stream.json")),
+                 "--out", str(data)]) == 0
+    assert main(["run", "--dataset", str(data), "--method", "retta", "--config",
+                 str(write_adapter_config(base / "adapter.json")), "--out", str(run_dir)]) == 0
+    return base, data, run_dir
+
+
+def _json_paths(value, path=()):
+    """The path of every key and item of a JSON value's objects and arrays, nested ones too."""
+    if not isinstance(value, (dict, list)):
+        return []
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return [p for key, item in items for p in [path + (key,), *_json_paths(item, path + (key,))]]
+
+
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 2**64),
+                         st.floats(allow_nan=False), st.text(max_size=6),
+                         st.sampled_from(["dom0", "dom1", "../data", "0" * 64]))
+
+
+def _mutate_json(data, value, label):
+    """Replace one item of the JSON `value` by a leaf or delete one of its keys; the edited
+    value."""
+    paths = _json_paths(value)
+    if not paths:
+        return data.draw(_JSON_LEAVES, label=f"{label} root")
+    path = data.draw(st.sampled_from(paths), label=f"{label} path")
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans(), label=f"{label} delete"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_LEAVES, label=f"{label} leaf")
+    return value
+
+
+def _mutate(data, path):
+    """Truncate `path`, or edit one JSON leaf or key of it (of one line of a JSONL file, one
+    cell or line of a CSV file)."""
+    text = path.read_text()
+    if data.draw(st.booleans(), label="truncate"):
+        path.write_text(text[:data.draw(st.integers(0, len(text) - 1), label="cut")])
+        return
+    lines = text.splitlines()
+    if path.suffix == ".json":
+        path.write_text(json.dumps(_mutate_json(data, json.loads(text), "manifest")))
+        return
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if path.suffix == ".jsonl":
+        lines[i] = json.dumps(_mutate_json(data, json.loads(lines[i]), "row"))
+    elif data.draw(st.booleans(), label="drop line"):
+        del lines[i]
+    else:
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="cell")] = data.draw(
+            st.sampled_from(["", "1.0000", "x", "dom0", "1e400", "-0.000000"]), label="value")
+        lines[i] = ",".join(cells)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_analyze_of_an_edited_run_exits_0_with_oracle_outputs_or_1_in_one_line(small_run,
+                                                                                 data):
+    base, dataset, run_dir = small_run
+    with tempfile.TemporaryDirectory(dir=base) as scratch:
+        run_copy, out = Path(scratch) / "run", Path(scratch) / "analysis"
+        shutil.copytree(run_dir, run_copy)
+        name = data.draw(st.sampled_from(["trace.jsonl", "manifest.json", "composition.csv",
+                                          "bins.csv"]), label="file")
+        _mutate(data, run_copy / name)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["analyze", "--run", str(run_copy), "--out", str(out)])
+        if code == 1:
+            _single_error_line(stderr.getvalue())
+            return
+        assert code == 0
+        assert (out / "composition.csv").read_bytes() == recomputed_composition(
+            run_copy, Path(scratch) / "oracle.csv")
+        recorded = json.loads((out / "manifest.json").read_text())
+        if recorded["inputs"]["dataset"] is None:
+            assert not (out / "bins.csv").exists()
+            return
+        stream = _load_dataset(recorded["inputs"]["dataset"],
+                               recorded["inputs"]["renormalize"])[0]
+        oracle = analysis.write_bins_csv(Path(scratch) / "bins-oracle.csv",
+                                         _similarity_bins(stream, recorded["seed"]))
+        assert (out / "bins.csv").read_bytes() == oracle.read_bytes()
 
 
 def test_analyze_rejects_a_text_bank_edited_into_an_invalid_one(tmp_path, dataset_dir, capsys):
@@ -504,8 +702,11 @@ def test_manifests_record_the_environment_and_run_its_input_hashes(tmp_path, dat
     assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
                  "--config", str(acfg), "--out", str(run_dir)]) == 0
     assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     environment = {"python": platform.python_version(), "numpy": np.__version__,
-                   "retta": retta.__version__}
+                   "retta": retta.__version__,
+                   "blas": {"name": blas["name"], "version": blas["version"],
+                            "kernel": cli._blas()["kernel"]}}
     for directory in (dataset_dir, run_dir, out):
         manifest = json.loads((directory / "manifest.json").read_text())
         assert manifest["environment"] == environment
