@@ -5,10 +5,16 @@ resolved configuration (defaults included), input paths, the environment (the
 Python, numpy and retta versions, and the BLAS numpy was built with and the
 kernel it runs), and SHA-256 hashes of every written artifact, so a run can be
 audited and reproduced exactly.  A run also hashes the two dataset files it
-read.  `analyze` copies a run's output instead of recomputing it when the run
-manifest proves it current: the manifest records today's environment, and
-the file and its sources hash as recorded.  composition.csv's source is
-trace.jsonl; bins.csv's are the dataset files, and its seed must be the run's.
+read.  A command hashes each input file once, through one `_Digests`.
+
+A manifest proves a file current when it records today's environment and the
+file and its sources hash as recorded (`_proven`).  run and `analyze` load a
+dataset from the dataset.npz that gen wrote beside it when the directory's
+gen manifest proves it, with dataset.jsonl and textbank.json as its sources,
+and parse dataset.jsonl otherwise.  `analyze` copies a run's output instead
+of recomputing it when the run manifest proves it current.  composition.csv's
+source is trace.jsonl; bins.csv's are the dataset files, and its seed must be
+the run's, as both the manifest's seed and its config record it.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
@@ -16,6 +22,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -65,6 +72,15 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+class _Digests(dict):
+    """The sha256 of each path asked for, None for one that is not a file; one command
+    hashes each file once through it."""
+
+    def __missing__(self, path: Path) -> str | None:
+        digest = self[path] = _sha256(path) if path.is_file() else None
+        return digest
 
 
 def _environment() -> dict:
@@ -125,6 +141,8 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.jsonl"
     datagen.save_jsonl(stream, dataset_path)
+    arrays_path = out_dir / "dataset.npz"
+    datagen.save_npz(stream, arrays_path)
     meta_path = out_dir / "metadata.json"
     datagen.save_metadata(cfg, bank, meta_path)
     bank_path = out_dir / "textbank.json"
@@ -134,17 +152,35 @@ def cmd_gen(args) -> int:
         command="gen",
         config=asdict(cfg),
         inputs={"config": str(args.config)},
-        outputs=[dataset_path, meta_path, bank_path],
+        outputs=[dataset_path, arrays_path, meta_path, bank_path],
         seed=cfg.seed,
     )
     print(f"wrote {len(stream)} samples to {dataset_path}")
     return 0
 
 
-_DATASET_FILES = ("dataset.jsonl", "textbank.json")  # what a run reads, and hashes
+_DATASET_FILES = ("dataset.jsonl", "textbank.json")  # the inputs a run records the hashes of
 
 
-def _load_dataset(dataset_dir: str, renormalize: bool):
+def _gen_arrays(ddir: Path, digests: _Digests) -> bytes | None:
+    """The bytes of the directory's dataset.npz if its gen manifest proves them current:
+    they, dataset.jsonl and textbank.json hash as its outputs record."""
+    try:
+        recorded = json.loads((ddir / "manifest.json").read_bytes())
+    except (OSError, ValueError, RecursionError):  # a manifest that cannot be read proves nothing
+        return None
+    if not isinstance(recorded, dict) or recorded.get("command") != "gen":
+        return None
+    outputs = recorded.get("outputs")
+    outputs = outputs if isinstance(outputs, dict) else {}
+    return _proven(recorded, ddir / "dataset.npz",
+                   {ddir / name: outputs.get(name) for name in (*_DATASET_FILES, "dataset.npz")},
+                   digests)
+
+
+def _load_dataset(dataset_dir: str, renormalize: bool, digests: _Digests | None = None):
+    """The dataset's stream and text bank: the proven dataset.npz arrays when they pass
+    every check of the parse, else dataset.jsonl parsed, which names what it rejects."""
     ddir = Path(dataset_dir)
     dataset_path = ddir / "dataset.jsonl"
     bank_path = ddir / "textbank.json"
@@ -156,11 +192,16 @@ def _load_dataset(dataset_dir: str, renormalize: bool):
         bank = model.load_text_bank(bank_path, renormalize=renormalize)
     except ValueError as exc:
         raise ValidationError(f"{bank_path}: {exc}") from exc
-    try:
-        stream = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
-                                    renormalize=renormalize, num_classes=bank.num_classes)
-    except ValueError as exc:
-        raise ValidationError(f"{dataset_path}: {exc}") from exc
+    stream = None
+    if (arrays := _gen_arrays(ddir, _Digests() if digests is None else digests)) is not None:
+        with contextlib.suppress(ValueError):  # arrays that fail a check: the parse names it
+            stream = datagen.load_npz(arrays, bank.dim, renormalize, bank.num_classes)
+    if stream is None:
+        try:
+            stream = datagen.load_jsonl(dataset_path, expected_dim=bank.dim,
+                                        renormalize=renormalize, num_classes=bank.num_classes)
+        except ValueError as exc:
+            raise ValidationError(f"{dataset_path}: {exc}") from exc
     if not len(stream):
         raise ValidationError(f"dataset has no samples: {dataset_path}")
     return stream, bank
@@ -190,8 +231,8 @@ def cmd_run(args) -> int:
     cfg = _load_config(args.config, adapter.AdapterConfig, "adapter")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    stream, bank = _load_dataset(args.dataset, args.renormalize)
-    digests = {name: _sha256(Path(args.dataset) / name) for name in _DATASET_FILES}
+    digests = _Digests()
+    stream, bank = _load_dataset(args.dataset, args.renormalize, digests)
     # an overflowing step (a huge lr) fails on its non-finite logits, with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = _run_method(args.method, stream, cfg, bank)
@@ -207,7 +248,8 @@ def cmd_run(args) -> int:
         command="run",
         config=asdict(cfg),
         inputs={"dataset": str(args.dataset), "config": str(args.config),
-                "renormalize": args.renormalize, "sha256": digests},
+                "renormalize": args.renormalize,
+                "sha256": {name: digests[Path(args.dataset) / name] for name in _DATASET_FILES}},
         outputs=written,
         seed=cfg.seed,
         method=args.method,
@@ -217,18 +259,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _proven(recorded: object, path: Path, hashes: dict[Path, object]) -> bytes | None:
-    """The bytes of the run output `path` if the run manifest `recorded` proves that
-    analyze would write them too, else None.
+def _proven(recorded: object, path: Path, hashes: dict[Path, object],
+            digests: _Digests) -> bytes | None:
+    """The bytes of the file `path` if the manifest `recorded` proves them current, else
+    None.
 
     That holds when the manifest records today's whole environment and every file in
-    `hashes`, `path` included, has the sha256 given for it there.
+    `hashes`, `path` included, has the sha256 given for it there.  `path` is hashed from
+    the bytes returned, its sources through `digests`.
     """
     if (not isinstance(recorded, dict) or recorded.get("environment") != _environment()
             or not path.is_file()):
         return None
     for proof, digest in hashes.items():
-        if proof != path and (not proof.is_file() or _sha256(proof) != digest):
+        if proof != path and (digest is None or digests[proof] != digest):
             return None
     data = path.read_bytes()
     return data if hashlib.sha256(data).hexdigest() == hashes.get(path) else None
@@ -259,8 +303,8 @@ def _read_trace(trace_path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _write_copy(path: Path, data: bytes) -> Path:
-    with model.create_file(path, newline="") as fh:
-        fh.write(data.decode())
+    with model.create_file(path, binary=True) as fh:
+        fh.write(data)
     return path
 
 
@@ -284,9 +328,10 @@ def cmd_analyze(args) -> int:
         recorded = exc
     outputs = recorded.get("outputs") if isinstance(recorded, dict) else None
     outputs = outputs if isinstance(outputs, dict) else {}
+    digests = _Digests()
     composition = _proven(recorded, run_dir / "composition.csv",
                           {run_dir / name: outputs.get(name)
-                           for name in ("trace.jsonl", "composition.csv")})
+                           for name in ("trace.jsonl", "composition.csv")}, digests)
     if composition is None:
         domains, supports = _read_trace(trace_path)
     if isinstance(recorded, Exception):
@@ -297,23 +342,27 @@ def cmd_analyze(args) -> int:
     dataset_dir = args.dataset if args.dataset is not None else inputs.get("dataset")
     seed = args.seed if args.seed is not None else recorded.get("seed", 0)
     renormalize = inputs.get("renormalize", False)
-    digests = inputs.get("sha256", {})
+    inputs_sha256 = inputs.get("sha256", {})
     if (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
             or not isinstance(renormalize, bool)
-            or not isinstance(dataset_dir, (str, type(None))) or not isinstance(digests, dict)
-            or not all(isinstance(h, str) for h in digests.values())):
+            or not isinstance(dataset_dir, (str, type(None))) or not isinstance(inputs_sha256, dict)
+            or not all(isinstance(h, str) for h in inputs_sha256.values())):
         raise ValidationError(f"{manifest_path}: 'seed' must be a non-negative integer, "
                               "'inputs.renormalize' a boolean, 'inputs.dataset' a string and "
                               "'inputs.sha256' an object of strings")
-    # the run's bins.csv is current if the dataset files analyze loads and the seed are the run's
+    # the run's bins.csv is current if the dataset files analyze loads and the seed are the
+    # run's: the manifest's seed is not hashed, so its config must record the same one
+    config = recorded.get("config")
+    run_seeds = (recorded.get("seed"), config.get("seed") if isinstance(config, dict) else None)
     stream = bins = None
     if dataset_dir is not None:
-        if digests and seed == recorded.get("seed"):
+        if inputs_sha256 and all(type(s) is int and s == seed for s in run_seeds):
             bins = _proven(recorded, run_dir / "bins.csv",
-                           {Path(dataset_dir) / name: digests.get(name) for name in _DATASET_FILES}
-                           | {run_dir / "bins.csv": outputs.get("bins.csv")})
+                           {Path(dataset_dir) / name: inputs_sha256.get(name)
+                            for name in _DATASET_FILES}
+                           | {run_dir / "bins.csv": outputs.get("bins.csv")}, digests)
         if bins is None:
-            stream, _ = _load_dataset(dataset_dir, renormalize=renormalize)
+            stream, _ = _load_dataset(dataset_dir, renormalize, digests)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -451,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         "manifest records today's environment (Python, numpy, retta, BLAS and its kernel), "
         "the file hashes as its outputs record, and so do its sources: trace.jsonl for "
         "composition.csv, and for bins.csv the dataset files, as inputs.sha256 records; bins.csv "
-        "also needs the run's seed.")
+        "also needs the run's seed, in both the manifest's seed and its config.")
     p_analyze.add_argument("--run", required=True, help="run directory (from run)")
     p_analyze.add_argument("--out", required=True, help="output directory")
     p_analyze.add_argument("--dataset", default=None,

@@ -19,13 +19,18 @@ time, and `order_stream` and `save_jsonl` work on its rows.  `load_jsonl`
 reads a dataset file into one `Stream`: it parses and type-checks each line,
 then checks finiteness and norm over the stacked block, with the exact
 per-row rule for any row the block check cannot pass; the generated block
-goes through the same check.
+goes through the same check.  `save_npz` writes the same stream's arrays
+beside the JSONL, and `load_npz` reads them back through the checks of
+`load_jsonl` without a parse.  The JSONL stays the dataset: a caller loads
+the arrays only when it can prove they were written with it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -348,6 +353,48 @@ def load_jsonl(
     return Stream(_unit_rows(vectors, dim, linenos, renormalize),
                   np.array(labels, dtype=np.int64),
                   np.array([code.get(d, -1) for d in domains], dtype=np.int64), tuple(names))
+
+
+_NPZ_ARRAYS = ("features", "labels", "domains", "domain_names")
+
+
+def save_npz(stream: Stream, path: str | Path) -> None:
+    """The stream's arrays as an uncompressed .npz holding `features`, `labels`, `domains`
+    and `domain_names`.  Every member has the same fixed zip timestamp, so one stream always
+    writes the same bytes."""
+    arrays = (stream.features, stream.labels, stream.domains,
+              np.array(stream.domain_names, dtype=str))
+    with create_file(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as npz:
+        for name, array in zip(_NPZ_ARRAYS, arrays):
+            member = io.BytesIO()
+            np.lib.format.write_array(member, array, allow_pickle=False)
+            npz.writestr(zipfile.ZipInfo(f"{name}.npy"), member.getvalue())
+
+
+def load_npz(data: bytes, expected_dim: int, renormalize: bool, num_classes: int) -> Stream:
+    """The stream whose `save_npz` bytes are `data`, checked as `load_jsonl` checks a
+    parsed file: rows of dim `expected_dim` that `_unit_rows` passes, labels in
+    [0, num_classes) or -1, and domain codes into the sorted distinct names or -1.
+
+    Rows are numbered from 1 as the lines `save_jsonl` writes; any array that is
+    missing, of another shape or type, or out of range raises a ValueError.
+    """
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as npz:
+            features, labels, domains, names = (
+                np.lib.format.read_array(io.BytesIO(npz.read(f"{name}.npy")), allow_pickle=False)
+                for name in _NPZ_ARRAYS)
+    except (KeyError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a dataset array file ({exc})") from exc
+    if (features.dtype != np.float64 or labels.dtype != np.int64 or domains.dtype != np.int64
+            or names.dtype.kind != "U" or labels.ndim != 1 or names.ndim != 1
+            or features.shape != (len(labels), expected_dim) or domains.shape != labels.shape
+            or (names := names.tolist()) != sorted(set(names))
+            or not np.all((labels >= -1) & (labels < num_classes))
+            or not np.all((domains >= -1) & (domains < len(names)))):
+        raise ValueError("the dataset arrays do not fit the text bank or each other")
+    return Stream(_unit_rows(features, expected_dim, range(1, len(labels) + 1), renormalize),
+                  labels, domains, tuple(names))
 
 
 def _unit_rows(vectors: list[list] | np.ndarray, dim: int | None, linenos: Sequence[int],

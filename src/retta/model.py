@@ -38,14 +38,15 @@ def _as_f64(x, name: str) -> np.ndarray:
     return arr
 
 
-def create_file(path: str | Path, newline: str | None = None) -> IO[str]:
-    """Open `path` for writing text as a new file: whatever is there is unlinked first.
+def create_file(path: str | Path, newline: str | None = None, binary: bool = False) -> IO:
+    """Open `path` for writing text, or bytes if `binary`, as a new file: whatever is there
+    is unlinked first.
 
     Writing over an existing file in place can stall on some file systems;
     a new file never does.  A symlink at `path` is replaced, not written through.
     """
     Path(path).unlink(missing_ok=True)
-    return open(path, "x", newline=newline)
+    return open(path, "xb" if binary else "x", newline=newline)
 
 
 def _check_field_types(obj, integers=(), booleans=(), reals=()) -> None:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import retta
 from retta import analysis, cli, datagen, model
 from retta.cli import _load_dataset, _similarity_bins, main
+from test_datagen import assert_same_stream
 
 
 def write_stream_config(path, **overrides):
@@ -66,7 +68,8 @@ def test_gen_writes_dataset_metadata_bank_and_manifest(tmp_path, dataset_dir):
     assert meta["C"] == 3 and meta["d"] == 12
     manifest = json.loads((dataset_dir / "manifest.json").read_text())
     assert manifest["command"] == "gen"
-    assert set(manifest["outputs"]) == {"dataset.jsonl", "metadata.json", "textbank.json"}
+    assert set(manifest["outputs"]) == {"dataset.jsonl", "dataset.npz", "metadata.json",
+                                        "textbank.json"}
 
 
 def test_gen_same_config_and_seed_is_byte_identical(tmp_path):
@@ -74,7 +77,7 @@ def test_gen_same_config_and_seed_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["gen", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert main(["gen", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    for name in ("dataset.jsonl", "metadata.json", "textbank.json"):
+    for name in ("dataset.jsonl", "dataset.npz", "metadata.json", "textbank.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -379,6 +382,24 @@ def test_analyze_reproduces_the_bins_of_a_seeded_run(tmp_path):
     assert (out / "bins.csv").read_bytes() == (run_dir / "bins.csv").read_bytes()
 
 
+def test_analyze_recomputes_the_bins_when_only_the_manifest_seed_is_edited(tmp_path):
+    # the manifest's own seed is not hashed: the bins are copied only if config.seed agrees
+    cfg_path = write_stream_config(tmp_path / "stream.json", samples_per_domain=720)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert main(["run", "--dataset", str(data), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(run_dir)]) == 0
+    _edit_manifest(run_dir, lambda manifest: manifest.update(seed=5))
+    assert main(["analyze", "--run", str(run_dir), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+    oracle = analysis.write_bins_csv(tmp_path / "oracle.csv",
+                                     _similarity_bins(_load_dataset(data, False)[0], 5))
+    assert oracle.read_bytes() != (run_dir / "bins.csv").read_bytes()
+    assert (out / "bins.csv").read_bytes() == oracle.read_bytes()
+
+
 def test_analyze_loads_the_dataset_as_a_renormalized_run_did(tmp_path, dataset_dir):
     _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 1,
                        lambda row: row.update(v=[2.0 * x for x in row["v"]]))
@@ -467,15 +488,15 @@ def test_analyze_reuses_the_run_bins_only_when_the_manifest_proves_them_current(
     run_bins = (run_dir / "bins.csv").read_bytes()
     flags = edit(tmp_path, run_dir, dataset_dir) or []
 
-    calls = {"load_jsonl": 0, "similarity_bins": 0}
-    for module, name in ((datagen, "load_jsonl"), (analysis, "similarity_bins")):
+    calls = {"_load_dataset": 0, "similarity_bins": 0}
+    for module, name in ((cli, "_load_dataset"), (analysis, "similarity_bins")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     assert main(["analyze", "--run", str(run_dir), "--out", str(out), *flags]) == 0
-    expected = {"load_jsonl": 0, "similarity_bins": 0} if reused else \
-        {"load_jsonl": 1, "similarity_bins": 1}
+    expected = {"_load_dataset": 0, "similarity_bins": 0} if reused else \
+        {"_load_dataset": 1, "similarity_bins": 1}
     assert calls == expected
     monkeypatch.undo()
 
@@ -659,6 +680,217 @@ def test_analyze_of_an_edited_run_exits_0_with_oracle_outputs_or_1_in_one_line(s
         oracle = analysis.write_bins_csv(Path(scratch) / "bins-oracle.csv",
                                          _similarity_bins(stream, recorded["seed"]))
         assert (out / "bins.csv").read_bytes() == oracle.read_bytes()
+
+
+def _quiet_main(argv):
+    """main's exit code and stderr, its stdout dropped."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _counted_load_jsonl():
+    """A patch that counts the dataset parses, each through the real load_jsonl."""
+    return mock.patch.object(datagen, "load_jsonl", wraps=datagen.load_jsonl)
+
+
+def _parsed(dataset_dir, renormalize=False):
+    """The parse oracle: the stream load_jsonl reads from the directory's dataset.jsonl."""
+    bank = model.load_text_bank(Path(dataset_dir) / "textbank.json", renormalize=renormalize)
+    return datagen.load_jsonl(Path(dataset_dir) / "dataset.jsonl", expected_dim=bank.dim,
+                              renormalize=renormalize, num_classes=bank.num_classes)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(num_classes=st.integers(2, 5), num_domains=st.integers(1, 4), dim=st.integers(2, 12),
+       samples_per_domain=st.integers(1, 30), ordering=st.sampled_from(["mixed", "sequential"]),
+       seed=st.integers(0, 2**32), renormalize=st.booleans())
+def test_a_proven_gen_dataset_loads_bitwise_what_load_jsonl_parses(
+        tmp_path_factory, num_classes, num_domains, dim, samples_per_domain, ordering, seed,
+        renormalize):
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as scratch:
+        cfg = write_stream_config(Path(scratch) / "stream.json", num_classes=num_classes,
+                                  num_domains=num_domains, dim=dim, ordering=ordering,
+                                  samples_per_domain=samples_per_domain, seed=seed)
+        data = Path(scratch) / "data"
+        assert _quiet_main(["gen", "--config", str(cfg), "--out", str(data)]) == (0, "")
+        with _counted_load_jsonl() as parse:
+            stream, _ = _load_dataset(data, renormalize)
+        assert parse.call_count == 0
+        assert_same_stream(stream, _parsed(data, renormalize))
+
+
+def _gen_manifest_edit(edit):
+    def apply(data):
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+    return apply
+
+
+def _write_proven_npz(data, **fields):
+    """Rewrite dataset.npz with some arrays replaced, and its hash into the gen manifest, so
+    the manifest proves arrays that must still pass the loader's checks."""
+    with open(data / "dataset.npz", "rb") as fh:
+        stream = datagen.load_npz(fh.read(), 12, False, 3)
+    datagen.save_npz(model.Stream(**{**vars(stream), **fields}), data / "dataset.npz")
+    digest = hashlib.sha256((data / "dataset.npz").read_bytes()).hexdigest()
+    _gen_manifest_edit(lambda m: m["outputs"].update({"dataset.npz": digest}))(data)
+
+
+def _flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _npz_of_another_seed(data):
+    other = data.parent / "other"
+    assert main(["gen", "--config", str(write_stream_config(data.parent / "other.json", seed=1)),
+                 "--out", str(other)]) == 0
+    shutil.copyfile(other / "dataset.npz", data / "dataset.npz")
+
+
+# each case edits a gen dataset directory; True when its dataset.npz still loads unparsed
+_SIDECAR_CASES = {
+    "unchanged": (True, lambda data: None),
+    "metadata-edited": (True, lambda data: (data / "metadata.json").write_text("{}")),
+    "manifest-config-edited": (True, _gen_manifest_edit(lambda m: m["config"].update(seed=9))),
+    "no-manifest": (False, lambda data: (data / "manifest.json").unlink()),
+    "manifest-truncated": (False, lambda data: (data / "manifest.json").write_text('{"comm')),
+    "manifest-not-an-object": (False, lambda data: (data / "manifest.json").write_text("[]")),
+    "not-a-gen-manifest": (False, _gen_manifest_edit(lambda m: m.update(command="run"))),
+    "numpy-version-changed": (False, _gen_manifest_edit(
+        lambda m: m["environment"].update(numpy="0.0.1"))),
+    "blas-kernel-changed": (False, _gen_manifest_edit(
+        lambda m: m["environment"]["blas"].update(kernel="Other"))),
+    "no-environment": (False, _gen_manifest_edit(lambda m: m.pop("environment"))),
+    "no-npz-hash": (False, _gen_manifest_edit(lambda m: m["outputs"].pop("dataset.npz"))),
+    "no-jsonl-hash": (False, _gen_manifest_edit(lambda m: m["outputs"].pop("dataset.jsonl"))),
+    "textbank-hash-changed": (False, _gen_manifest_edit(
+        lambda m: m["outputs"].update({"textbank.json": "0" * 64}))),
+    "no-npz": (False, lambda data: (data / "dataset.npz").unlink()),
+    "npz-edited": (False, lambda data: _flip_last_byte(data / "dataset.npz")),
+    "npz-of-another-seed": (False, _npz_of_another_seed),
+    "jsonl-row-edited": (False, lambda data: _rewrite_jsonl_row(
+        data / "dataset.jsonl", 2, lambda row: row.update(label=(row["label"] + 1) % 3))),
+    "textbank-edited": (False, lambda data: _set_text_bank_field(data, "log_temp", 1.0)),
+    # the manifest proves these arrays, but they fail a check the parse makes
+    "proven-npz-label-out-of-range": (False, lambda data: _write_proven_npz(
+        data, labels=np.full(100, 3))),
+    "proven-npz-off-unit-row": (False, lambda data: _write_proven_npz(
+        data, features=np.ones((100, 12)))),
+    "proven-npz-of-another-dim": (False, lambda data: _write_proven_npz(
+        data, features=np.eye(100, 11))),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIDECAR_CASES))
+def test_a_dataset_loads_unparsed_only_when_its_gen_manifest_proves_the_arrays(
+        tmp_path, dataset_dir, case):
+    proven, edit = _SIDECAR_CASES[case]
+    edit(dataset_dir)
+    with _counted_load_jsonl() as parse:
+        stream, _ = _load_dataset(dataset_dir, False)
+    assert parse.call_count == (0 if proven else 1)
+    assert_same_stream(stream, _parsed(dataset_dir))
+
+
+def test_a_bad_jsonl_label_is_named_though_the_arrays_beside_it_are_intact(tmp_path,
+                                                                            dataset_dir):
+    _rewrite_jsonl_row(dataset_dir / "dataset.jsonl", 4, lambda row: row.update(label=7))
+    code, err = _quiet_main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                             "--config", str(write_adapter_config(tmp_path / "adapter.json")),
+                             "--out", str(tmp_path / "run")])
+    assert code == 1
+    line = _single_error_line(err)
+    assert f"{dataset_dir / 'dataset.jsonl'}: line 4: label must be an integer in [0, 3)" in line
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_and_analyze_hash_each_dataset_file_once(tmp_path, dataset_dir, monkeypatch):
+    acfg = write_adapter_config(tmp_path / "adapter.json")
+    hashed = []
+    monkeypatch.setattr(cli, "_sha256", lambda path, _real=cli._sha256:
+                        hashed.append(Path(path).name) or _real(path))
+    assert main(["run", "--dataset", str(dataset_dir), "--method", "zeroshot",
+                 "--config", str(acfg), "--out", str(tmp_path / "run")]) == 0
+    outputs = {"report.json", "per_domain.csv", "composition.csv", "bins.csv", "trace.jsonl"}
+    assert sorted(hashed) == sorted(["dataset.jsonl", "textbank.json", *outputs])
+    hashed.clear()
+    # another seed: the run's bins are not proven, so analyze reloads the dataset
+    assert main(["analyze", "--run", str(tmp_path / "run"), "--out", str(tmp_path / "analysis"),
+                 "--seed", "4"]) == 0
+    assert sorted(hashed) == sorted(["trace.jsonl", "dataset.jsonl", "textbank.json",
+                                     "composition.csv", "bins.csv"])
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """A gen dataset, an adapter config and another seed's dataset.npz, which each fuzzed run
+    copies and edits."""
+    base = tmp_path_factory.mktemp("small-dataset")
+    for name, seed in (("data", 0), ("other", 1)):
+        assert main(["gen", "--config", str(write_stream_config(base / f"{name}.json", seed=seed)),
+                     "--out", str(base / name)]) == 0
+    write_adapter_config(base / "adapter.json")
+    return base
+
+
+def _mutate_npz(data, path, other):
+    """Delete, truncate, flip one byte of or replace (by another dataset's) the .npz `path`."""
+    action = data.draw(st.sampled_from(["delete", "truncate", "flip", "replace"]), label="npz")
+    raw = bytearray(path.read_bytes())
+    if action == "delete":
+        path.unlink()
+    elif action == "truncate":
+        path.write_bytes(bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]))
+    elif action == "flip":
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(
+            st.integers(0, 7), label="bit")
+        path.write_bytes(bytes(raw))
+    else:
+        shutil.copyfile(other, path)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_run_of_edited_inputs_exits_0_with_the_parsed_outputs_or_1_in_one_line(small_dataset,
+                                                                                data):
+    with tempfile.TemporaryDirectory(dir=small_dataset) as scratch:
+        dataset, acfg = Path(scratch) / "data", Path(scratch) / "adapter.json"
+        shutil.copytree(small_dataset / "data", dataset)
+        shutil.copyfile(small_dataset / "adapter.json", acfg)
+        target = data.draw(st.sampled_from([dataset / "dataset.jsonl", dataset / "textbank.json",
+                                            acfg, dataset / "dataset.npz",
+                                            dataset / "manifest.json"]), label="file")
+        if target.suffix == ".npz":
+            _mutate_npz(data, target, small_dataset / "other" / "dataset.npz")
+        else:
+            _mutate(data, target)
+        flags = ["--method", data.draw(st.sampled_from(cli.METHODS), label="method"),
+                 "--config", str(acfg)]
+        flags += ["--renormalize"] if data.draw(st.booleans(), label="renormalize") else []
+        code, err = _quiet_main(["run", "--dataset", str(dataset), *flags,
+                                 "--out", str(Path(scratch) / "run")])
+        # the oracle: the same run on the JSONL alone, with no arrays or gen manifest
+        for name in ("dataset.npz", "manifest.json"):
+            (dataset / name).unlink(missing_ok=True)
+        with _counted_load_jsonl() as parse:
+            oracle = _quiet_main(["run", "--dataset", str(dataset), *flags,
+                                  "--out", str(Path(scratch) / "oracle")])
+        assert (code, err) == oracle
+        if code == 1:
+            _single_error_line(err)
+            assert not (Path(scratch) / "run").exists()
+            return
+        assert code == 0 and parse.call_count == 1
+        written = sorted(p.name for p in (Path(scratch) / "run").iterdir())
+        assert written == sorted(p.name for p in (Path(scratch) / "oracle").iterdir())
+        for name in written:
+            assert (Path(scratch) / "run" / name).read_bytes() == \
+                (Path(scratch) / "oracle" / name).read_bytes()
 
 
 def test_analyze_rejects_a_text_bank_edited_into_an_invalid_one(tmp_path, dataset_dir, capsys):

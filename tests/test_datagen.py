@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from retta.datagen import (
     StreamConfig,
     generate,
     load_jsonl,
+    load_npz,
     order_stream,
     reference_stream_config,
     save_jsonl,
+    save_npz,
 )
 from retta.model import Sample, Stream, _ensure_unit
 
@@ -278,6 +282,82 @@ def test_rows_without_a_label_or_domain_round_trip_as_null(tmp_path):
     assert [(s.true_label, s.domain_id) for s in loaded] == [
         (s.true_label, s.domain_id) for s in samples]
     assert loaded.features.tobytes() == Stream.from_samples(samples).features.tobytes()
+
+
+def assert_same_stream(got, want):
+    """Bitwise the same stream: arrays of the same dtype, shape and bytes, the same names."""
+    assert got.features.dtype == want.features.dtype == np.float64
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.dtype == want.labels.dtype == np.int64
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.domains.dtype == want.domains.dtype == np.int64
+    assert got.domains.tolist() == want.domains.tolist()
+    assert got.domain_names == want.domain_names
+    assert all(type(name) is str for name in got.domain_names)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_npz_loads_bitwise_what_the_jsonl_of_the_same_stream_parses(tmp_path, renormalize):
+    rng = np.random.default_rng(1)
+    samples = [Sample(v / np.linalg.norm(v), label, domain) for v, label, domain in zip(
+        rng.standard_normal((5, 4)), [None, 2, 0, None, 1], ["b", None, "a", None, "b"])]
+    stream = Stream.from_samples(samples)
+    save_jsonl(stream, tmp_path / "stream.jsonl")
+    save_npz(stream, tmp_path / "stream.npz")
+    parsed = load_jsonl(tmp_path / "stream.jsonl", expected_dim=4, renormalize=renormalize,
+                        num_classes=3)
+    assert_same_stream(load_npz((tmp_path / "stream.npz").read_bytes(), 4, renormalize, 3),
+                       parsed)
+
+
+def test_save_npz_writes_the_same_bytes_for_the_same_stream(tmp_path):
+    stream, _ = generate(tiny_cfg())
+    save_npz(stream, tmp_path / "a.npz")
+    save_npz(stream[np.arange(len(stream))], tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    with np.load(tmp_path / "a.npz") as npz:  # a plain .npz to numpy
+        assert sorted(npz.files) == ["domain_names", "domains", "features", "labels"]
+        assert npz["features"].tobytes() == stream.features.tobytes()
+
+
+def _edited_npz(tmp_path, **fields):
+    stream, _ = generate(tiny_cfg())
+    save_npz(Stream(**{**vars(stream), **fields}), tmp_path / "edited.npz")
+    return (tmp_path / "edited.npz").read_bytes()
+
+
+@pytest.mark.parametrize("edit, expected_dim, match", [
+    (dict(labels=np.full(120, 3)), 10, "do not fit"),
+    (dict(labels=np.full(120, -2)), 10, "do not fit"),
+    (dict(domains=np.full(120, 2)), 10, "do not fit"),
+    (dict(domain_names=("dom1", "dom0")), 10, "do not fit"),
+    (dict(labels=np.zeros(120, dtype=np.int32)), 10, "do not fit"),
+    (dict(labels=np.zeros(119, dtype=np.int64)), 10, "do not fit"),
+    ({}, 9, "do not fit"),
+    (dict(features=np.ones((120, 10), dtype=np.float32)), 10, "do not fit"),
+    (dict(features=np.ones((120, 10))), 10, "line 1: v has L2 norm"),
+])
+def test_load_npz_makes_every_check_of_the_parse(tmp_path, edit, expected_dim, match):
+    with pytest.raises(ValueError, match=match):
+        load_npz(_edited_npz(tmp_path, **edit), expected_dim, False, 3)
+
+
+@pytest.mark.parametrize("data", [b"", b"not a zip", b"PK\x03\x04" + bytes(40)])
+def test_load_npz_rejects_what_is_not_a_dataset_array_file(data):
+    with pytest.raises(ValueError, match="not a dataset array file"):
+        load_npz(data, 10, False, 3)
+
+
+def test_load_npz_rejects_an_archive_without_the_labels(tmp_path):
+    data = _edited_npz(tmp_path)
+    with zipfile.ZipFile(io.BytesIO(data)) as full, zipfile.ZipFile(tmp_path / "part.npz",
+                                                                    "w") as part:
+        for name in full.namelist():
+            if name != "labels.npy":
+                part.writestr(name, full.read(name))
+    with pytest.raises(ValueError, match="labels.npy"):
+        load_npz((tmp_path / "part.npz").read_bytes(), 10, False, 3)
 
 
 def test_empty_file_loads_as_empty_stream(tmp_path):
