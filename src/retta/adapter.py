@@ -7,18 +7,25 @@ the adapted parameters, and discards them.  Adaptation is therefore episodic:
 the persistent model is never mutated, which is exactly what keeps gradients
 cached at the pretrained parameters valid forever.
 
-`process_batch` runs these steps for a whole batch as array operations: one
-posterior pass for the gradients and zero-shot predictions, one block insert
-of the batch's embeddings, gradients and entropies into memory, then
-`ClassMemory.select` for the queries' supports and the weighting,
-aggregation, step and adapted predict with a leading batch axis, over row
-chunks that keep the (queries, support, dim) temporaries within a fixed byte
-budget.  The per-sample engine (`adapt_and_predict` with `weigh`,
-`aggregate` and `aggregate_recomputed`) is the oracle it is checked and
-timed against; the recomputing mode of `process_batch` runs it.  Both read
-the same support columns from `select`, the oracle for one query at a time,
-and both forms of the weighting formula live here: `weigh` for one support,
-`_adapt_block` for a batch of them.
+`run_stream` runs these steps for a stream of batches as array operations:
+one posterior pass per batch for the gradients and zero-shot predictions,
+all made first, then `ClassMemory.insert_batches`, which writes the rows
+into memory a segment of batches at a time and steps the queue windows
+batch by batch, and per batch `ClassMemory.select` for the queries' supports
+and the weighting, aggregation, step and adapted predict with a leading
+batch axis, over row chunks that keep the (queries, support, dim)
+temporaries within a fixed byte budget.  The windows can be planned from
+the pseudo-labels because the memory holds pretrained-parameter values and
+adaptation is episodic: what batch b reads is each queue's last rows in
+arrival order through batch b, which the zero-shot labels alone decide.  So
+every batch reads the same rows in the same order as with one insert per
+batch, and every output is bitwise the same.  `process_batch` is the
+one-batch case on a memory the caller keeps.  The per-sample engine
+(`adapt_and_predict` with `weigh`, `aggregate` and `aggregate_recomputed`)
+is the oracle it is checked and timed against; the recomputing mode of
+`process_batch` runs it.  Both read the same support columns from `select`,
+the oracle for one query at a time, and both forms of the weighting formula
+live here: `weigh` for one support, `_adapt_block` for a batch of them.
 
 The engines take a `Stream` and slice its feature rows; they return one
 `Outcomes`, whose fields are arrays with a row per sample.  An `AdaptOutcome`
@@ -325,7 +332,7 @@ _BLOCK_BYTES = 64 << 20
 def _row_chunks(rows: int, floats_per_row: int) -> list[slice]:
     """Consecutive slices covering `rows` rows, each within `_BLOCK_BYTES` (at least one row)."""
     step = max(1, _BLOCK_BYTES // (8 * floats_per_row))
-    return [slice(start, start + step) for start in range(0, rows, step)]
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConfig,
@@ -341,11 +348,11 @@ def _adapt_block(V: np.ndarray, support: dict[str, np.ndarray], cfg: AdapterConf
     if cfg.similarity_weighting:
         diff = support["z"] - V[:, None, :]
         log_raw -= cfg.beta * np.sqrt(np.einsum("bmd,bmd->bm", diff, diff))
-    if not np.all(np.isfinite(log_raw)):
+    if not np.isfinite(log_raw).all():
         raise ValueError("non-finite aggregation weights (degenerate entropies or distances)")
     row_max = log_raw.max(axis=1, keepdims=True)
     # the raw weights exp(log_raw) sum to 0 exactly when their largest is 0
-    if np.any(np.exp(row_max) == 0.0):
+    if (np.exp(row_max) == 0.0).any():
         raise ValueError("all raw aggregation weights underflowed to zero")
     shifted = np.exp(log_raw - row_max)
     weights = (shifted / shifted.sum(axis=1, keepdims=True))[:, None, :]
@@ -373,11 +380,11 @@ def process_batch(
     """Process one batch: gradients first, then one block insert, then adaptation.
 
     All rows join memory before any sample adapts, so samples within a
-    batch can retrieve one another.  The cached engine adapts the batch as
-    array operations, in as few row chunks as `_BLOCK_BYTES` allows;
-    `recompute_grads` runs the per-sample reference engine
-    (`adapt_and_predict`), which recomputes every support gradient.
-    Support domains are coded as in `mem.domain_names`.
+    batch can retrieve one another.  The cached engine is `run_stream`'s path
+    for a stream of one batch on `mem`: its windows planned from the batch's
+    pseudo-labels are those of one block insert.  `recompute_grads` runs the
+    per-sample reference engine (`adapt_and_predict`), which recomputes every
+    support gradient.  Support domains are coded as in `mem.domain_names`.
 
     A list of `Sample` is taken too, for perfbench's `online` loop that passes
     `[sample]`: `Stream.from_samples`, the one conversion left in the package,
@@ -389,32 +396,66 @@ def process_batch(
         raise ValueError(f"batch of {len(batch)} exceeds configured batch_size {cfg.batch_size}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    params0 = AffineParams.pretrained(bank.dim)
-    V = batch.features  # the embeddings too: forward at params0 is the identity
-    post = batch_grads(V, params0, bank)
+    if not recompute_grads:
+        return _adapt(batch, mem, cfg, bank, rng)
+    post = batch_grads(batch.features, AffineParams.pretrained(bank.dim), bank)
     names = batch.domain_names + (None,)
-    mem.insert_block(V, post.d_bias, post.entropy, post.labels,
+    mem.insert_block(batch.features, post.d_bias, post.entropy, post.labels,
                      [names[c] for c in batch.domains.tolist()])
-    if recompute_grads:
-        return Outcomes.from_rows(
-            [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch],
-            mem.domain_names)
-    # float64s per query: the support stacks and distances (4 d + 10 per entry); 4 per row
-    # of the total capacity C * K (split or not) for the padded similarity block, `_top`'s
-    # partition (or negated) copy and int64 tie count (or sort order), and its at most 5
-    # bool masks (1 together); the adapted posterior (8 per class, 4 per dim)
-    m = min(len(mem), bank.num_classes * cfg.retrieve_k)
-    capacity = mem.num_classes * mem.capacity_per_class
-    per_query = (4 * bank.dim + 10) * m + 4 * capacity + 8 * bank.num_classes + 4 * bank.dim
-    adapted, domains = [], []
-    for rows in _row_chunks(len(V), per_query):
-        support = mem.select(V[rows], cfg.retrieve_k, rng=None if cfg.topk_selection else rng)
-        adapted.append(_adapt_block(V[rows], support, cfg, params0, bank))
-        domains.append(support["domain"])
-    zero_shot = Posterior(post.logits, post.probs, post.entropy, post.labels)
-    return Outcomes(concat_posteriors(adapted), zero_shot,
-                    np.full(len(V), domains[0].shape[1]), np.concatenate(domains),
-                    mem.domain_names)
+    return Outcomes.from_rows(
+        [adapt_and_predict(s, mem, cfg, bank, rng=rng, recompute_grads=True) for s in batch],
+        mem.domain_names)
+
+
+def _adapt(stream: Stream, mem: ClassMemory, cfg: AdapterConfig, bank: TextBank,
+           rng: np.random.Generator) -> Outcomes:
+    """The cached engine over `stream` in batches of `cfg.batch_size` rows, on `mem`.
+
+    One gradient pass per batch gives every pseudo-label before any row is
+    inserted (the stream's dH/dz rows are kept until their segment is written);
+    `ClassMemory.insert_batches` then writes the rows a segment of batches at a
+    time and steps its windows batch by batch, and each batch adapts as array
+    operations on its own windows, in as few row chunks as `_BLOCK_BYTES`
+    allows.  Support sizes and domains go straight into the stream's arrays;
+    the chunks' adapted posteriors are joined once.
+    """
+    params0 = AffineParams.pretrained(bank.dim)
+    V = stream.features  # the embeddings too: forward at params0 is the identity
+    n, C, k = len(V), bank.num_classes, cfg.retrieve_k
+    stops = [*range(cfg.batch_size, n, cfg.batch_size), n]
+    zero_shot, d_bias = [], []
+    for start, stop in zip([0, *stops], stops):
+        post = batch_grads(V[start:stop], params0, bank)
+        zero_shot.append(Posterior(post.logits, post.probs, post.entropy, post.labels))
+        d_bias.append(post.d_bias)
+    zero_shot = concat_posteriors(zero_shot)
+    d_bias = d_bias[0] if len(d_bias) == 1 else np.concatenate(d_bias)
+    names = stream.domain_names + (None,)
+    steps = mem.insert_batches(V, d_bias, zero_shot.entropy, zero_shot.labels,
+                               list(map(names.__getitem__, stream.domains.tolist())), stops, k,
+                               None if cfg.topk_selection else rng)
+    # float64s per query: the support stacks and distances (4 d + 10 per entry) of at most
+    # the memory's C * k entries, split or not (the planned windows of a later batch may be
+    # fuller than the memory before its insert); 4 per row of the total capacity C * K for
+    # the padded similarity block, `_top`'s partition (or negated) copy and int64 tie count
+    # (or sort order), and its at most 5 bool masks (1 together); the adapted posterior (8
+    # per class, 4 per dim)
+    widest, capacity = mem.num_classes * k, mem.num_classes * mem.capacity_per_class
+    per_query = (4 * bank.dim + 10) * widest + 4 * capacity + 8 * C + 4 * bank.dim
+    adapted, width = [], 0
+    support_size, support_domains = np.empty(n, dtype=np.int64), np.full((n, widest), -1)
+    for picks, start, stop in zip(steps, [0, *stops], stops):  # `steps` first: runs to its end
+        for chunk in _row_chunks(stop - start, per_query):
+            rows = slice(start + chunk.start, start + chunk.stop)
+            support = mem.select(V[rows], k, picks=None if picks is None
+                                 else [p[chunk] for p in picks])
+            adapted.append(_adapt_block(V[rows], support, cfg, params0, bank))
+            support_size[rows] = m = support["domain"].shape[1]
+            support_domains[rows, :m] = support["domain"]
+            width = max(width, m)
+            del support  # before the next chunk selects
+    return Outcomes(concat_posteriors(adapted), zero_shot, support_size,
+                    np.ascontiguousarray(support_domains[:, :width]), mem.domain_names)
 
 
 def run_stream(
@@ -423,7 +464,14 @@ def run_stream(
     bank: TextBank,
     recompute_grads: bool = False,
 ) -> Outcomes:
-    """Run the full cached-adaptation engine over a stream, batch by batch."""
+    """Run the full cached-adaptation engine over a stream, batch by batch.
+
+    The cached engine plans each batch's cache windows from the stream's
+    pseudo-labels, so it makes every gradient pass first and writes the memory a
+    segment of batches at a time (see `ClassMemory.insert_batches`); its outputs
+    are bitwise those of one `process_batch` per batch on one memory and
+    generator.  `recompute_grads` runs that replay with the per-sample oracle.
+    """
     if not len(stream):
         return Outcomes.unadapted(_zero_shot(stream.features, bank))
     mem = ClassMemory(
@@ -432,9 +480,11 @@ def run_stream(
         split=cfg.split_memory,
     )
     rng = np.random.default_rng(cfg.seed)
+    if not recompute_grads:
+        return _adapt(stream, mem, cfg, bank, rng)
     return Outcomes.concat([
         process_batch(stream[start : start + cfg.batch_size], mem, cfg, bank, rng=rng,
-                      recompute_grads=recompute_grads)
+                      recompute_grads=True)
         for start in range(0, len(stream), cfg.batch_size)])
 
 

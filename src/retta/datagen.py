@@ -280,14 +280,20 @@ def order_stream(stream: Stream, ordering: str, seed: int) -> Stream:
 
 def save_jsonl(stream: Stream, path: str | Path) -> None:
     """One sample per line: {"v": [...], "label": int, "domain": str}; a row without a
-    label or domain writes null."""
-    names = [*stream.domain_names, None]  # code -1 is the last
+    label or domain writes null.
+
+    Each line is the `json.dumps` of that dict, formatted directly: `json.dumps` writes
+    a finite float as its `repr`, so a row's list of floats is written as the `repr`
+    of the list, and an int as `str`.  Only the domain names, once each, and a row
+    with a non-finite value (NaN, Infinity) go through `json.dumps`.
+    """
+    names = [*map(json.dumps, stream.domain_names), "null"]  # code -1 is the last
+    finite = np.isfinite(stream.features).all(axis=1).tolist()
     with create_file(path) as fh:
-        for v, label, code in zip(stream.features.tolist(), stream.labels.tolist(),
-                                  stream.domains.tolist()):
-            fh.write(json.dumps({"v": v, "label": None if label < 0 else label,
-                                 "domain": names[code]}))
-            fh.write("\n")
+        for v, label, code, ok in zip(stream.features.tolist(), stream.labels.tolist(),
+                                      stream.domains.tolist(), finite):
+            fh.write(f'{{"v": {repr(v) if ok else json.dumps(v)}, '
+                     f'"label": {"null" if label < 0 else label}, "domain": {names[code]}}}\n')
 
 
 def load_jsonl(

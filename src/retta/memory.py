@@ -23,25 +23,38 @@ The weight gradient has no column: for the affine head dH/dweight = dH/dz * v,
 and at the pretrained parameters the stored z is v, so every read forms it as
 d_bias * z, the same IEEE multiply as the gradient pass, bitwise.
 
-`insert_block` writes a batch as one block per queue; `insert` is its
-one-row form.  `select` serves a whole batch of queries at once: one gemv per
-query and queue (a matrix product would round by the query's place in the
-batch), written into one (queries, queues, longest queue) block padded with
--inf, one top-k over all its rows by a threshold (`_top`), and one `take`
-per column read from the shared rows.  `retrieve` and `sample_uniform` are
-its one-query forms, which the per-sample engine reads.
+`insert_batches` writes a stream of batches and steps the windows batch by
+batch.  A queue's window after batch b is its last rows in arrival order
+through batch b, so every window follows from the pseudo-label counts before
+any row is written: the rows go in segments, one block per queue each, as
+many batches as fit in each queue's 2 * capacity rows together with the old
+rows the segment's first window still reads, and each window steps forward
+over rows already written.  A batch's `select` then ranks the same rows, in
+the same order and the same gemv block, as after one insert per batch, so
+the windows are exact.  `insert_block` is its one-batch case and `insert`
+the one-row form of that.  `select` serves a whole batch of queries at once:
+one gemv per query and queue (a matrix product would round by the query's
+place in the batch), written into one (queries, queues, longest queue) block
+padded with -inf, one top-k over all its rows by a threshold (`_top`), and
+one `take` per column read from the shared rows.  `retrieve` and
+`sample_uniform` are its one-query forms, which the per-sample engine reads.
 
 The uniform draw of the no-domain-consistency ablation is pinned to one
 `rng.choice(size, budget, replace=False)` per query and then per queue.
-`_uniform_draws` gives those indices and that final generator state for the
-whole block from one `rng.integers` call of 32-bit words, replaying
-`choice`'s Floyd sampling and shuffle as array steps over the queries.  In
-the rare block where `choice` would redraw a word or shuffle a tail instead,
-it restores the generator state and makes the per-call `choice` loop.
+`_uniform_draws` gives those indices and that final generator state for a
+whole block of queries from `rng.integers` calls of 32-bit words, replaying
+`choice`'s Floyd sampling and shuffle as array steps over the queries.  For
+the rare batch where `choice` would redraw a word, and a queue where it would
+shuffle a tail instead, it restores the generator state and makes the
+per-call `choice` loop.  The words depend on the window sizes only, and the
+generator keeps the unused half of a 64-bit output between calls, so
+`insert_batches` makes one block for each run of batches with equal window
+sizes: the same words in the same order as one block per batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,27 +76,37 @@ class _Window:
         """The live rows, oldest first."""
         return slice(self.base + self.start, self.base + self.start + self.size)
 
-    def extend(self, cols: dict[str, np.ndarray], block: dict[str, np.ndarray]) -> None:
-        """Append a block of rows (an array per column), dropping the oldest beyond capacity.
+    def write(self, cols: dict[str, np.ndarray], block: dict[str, np.ndarray], lo: int,
+              counts: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Append a segment's rows, rows lo, lo + 1, ... of `block` (an array per column)
+        in arrival order, counts[j] of them from batch j; returns the (start, size) the
+        queue has after each batch, the last one its new state.
 
-        A block of capacity rows or more keeps only its last capacity rows.
+        The rows the segment's windows read, from the first batch's oldest to the last
+        row, must fit the queue's 2 * capacity rows: `ClassMemory.insert_batches` plans
+        segments so.  Rows of the first batch beyond capacity are never read and not
+        written; when the rows would pass the end, the old rows still read move back
+        to the first row first.
         """
-        r = len(block["z"])
-        if r > self.capacity:
-            block = {key: values[r - self.capacity:] for key, values in block.items()}
-            r = self.capacity
-        drop = self.size + r - self.capacity
-        if drop > 0:
-            self.start, self.size = self.start + drop, self.size - drop
-        if self.start + self.size + r > 2 * self.capacity:
-            lo, end = self.base, self.base + self.start + self.size
+        capacity, size = self.capacity, self.size
+        skip = max(0, counts[0] - capacity)
+        kept = min(capacity - counts[0], size) if skip == 0 else 0  # old rows still read
+        new = sum(counts) - skip
+        start = self.start + size - kept
+        if start + kept + new > 2 * capacity:
+            src = self.base + start
             for col in cols.values():
-                col[lo : lo + self.size] = col[lo + self.start : end]
-            self.start = 0
-        row = self.base + self.start + self.size
+                col[self.base : self.base + kept] = col[src : src + kept]
+            start = 0
+        row, lo = self.base + start + kept, lo + skip
         for key, values in block.items():
-            cols[key][row : row + r] = values
-        self.size += r
+            cols[key][row : row + new] = values[lo : lo + new]
+        states, end = [], start + kept - skip
+        for count in counts:
+            end, size = end + count, min(capacity, size + count)
+            states.append((end - size, size))
+        self.start, self.size = states[-1]
+        return states
 
 
 class ClassMemory:
@@ -135,7 +158,8 @@ class ClassMemory:
 
     def insert_block(self, z: np.ndarray, d_bias: np.ndarray, entropy: np.ndarray,
                      pseudo_labels: np.ndarray, domains: list) -> None:
-        """One `insert` per row, in row order, but one block write per queue.
+        """One `insert` per row, in row order, but one block write per queue: the
+        one-batch case of `insert_batches`.
 
         The pseudo-labels must come from the zero-shot classifier at pretrained
         parameters, the model state the cached values belong to.  Only labels
@@ -146,14 +170,37 @@ class ClassMemory:
         The columns are allocated on the first insert; a memory too large for
         that raises a ValueError naming `capacity_per_class` and `num_classes`.
         """
+        for _ in self.insert_batches(z, d_bias, entropy, pseudo_labels, domains, [len(z)]):
+            pass
+
+    def insert_batches(self, z: np.ndarray, d_bias: np.ndarray, entropy: np.ndarray,
+                       pseudo_labels: np.ndarray, domains: list, stops: list[int], k: int = 1,
+                       rng: np.random.Generator | None = None
+                       ) -> Iterator[list[np.ndarray] | None]:
+        """Insert consecutive batches of rows, batch i ending before row stops[i], and
+        yield once per batch with every queue's window where one `insert_block` per
+        batch would leave it, so the batch's `select` reads the same rows in the same
+        order.
+
+        After batch i a queue holds its last capacity rows in arrival order, so every
+        window follows from the pseudo-label counts alone, before any row is written.
+        The batches are written in segments, one block per queue each: a segment is
+        as many batches as fit in every queue's 2 * capacity rows together with the
+        old rows its first window still reads, and each window steps forward over
+        rows already written.  With `rng`, each yield is the batch's uniform draw
+        for `select`'s `picks`: one `_uniform_draws` call per run of consecutive
+        batches whose window sizes are equal, which draws the words of one call per
+        batch in the same order.  Otherwise each yield is None.  The rows are
+        checked as in `insert_block`, all of them before the first write, which
+        happens when the iteration starts.
+        """
         labels = np.asarray(pseudo_labels)
         r = len(labels)
         if labels.dtype.kind not in "iu":
             raise ValueError(f"pseudo-labels must be integers, got dtype {labels.dtype}")
         # Python min/max: numpy's fixed cost per call exceeds a batch's worth of them
         label_list = labels.tolist()
-        lo, hi = min(label_list, default=0), max(label_list, default=0)
-        if lo < 0 or hi >= self.num_classes:
+        if min(label_list, default=0) < 0 or max(label_list, default=0) >= self.num_classes:
             row, label = next((i, c) for i, c in enumerate(label_list)
                               if not 0 <= c < self.num_classes)
             raise ValueError(f"row {row}: pseudo_label {label} out of range "
@@ -171,19 +218,62 @@ class ClassMemory:
                 raise ValueError(f"a memory of capacity_per_class {self.capacity_per_class} x "
                                  f"num_classes {self.num_classes} cannot be allocated: {exc}"
                                  ) from None
-        codes = self._domain_codes
+        codes = self._domain_codes  # a new name takes the next code, in order of first row
+        code = {name: -1 if name is None else codes.setdefault(name, len(codes))
+                for name in dict.fromkeys(domains)}
         block = dict(z=z, d_bias=d_bias, entropy=np.asarray(entropy),
-                     domain=np.array([-1 if name is None else codes.setdefault(name, len(codes))
-                                      for name in domains], dtype=np.int64))
-        if not self.split or lo == hi:  # one queue: no sort
-            self._windows[lo if self.split else 0].extend(cols, block)
-        else:
-            order = np.argsort(labels, kind="stable")
-            block = {key: values[order] for key, values in block.items()}
-            stops = np.cumsum(np.bincount(labels, minlength=self.num_classes)).tolist()
-            for window, start, stop in zip(self._windows, [0] + stops, stops):
-                if stop > start:
-                    window.extend(cols, {key: values[start:stop] for key, values in block.items()})
+                     domain=np.array(list(map(code.__getitem__, domains)), dtype=np.int64))
+        windows = self._windows
+        bounds = [0, *stops]
+        # rows per batch and queue
+        counts = ([list(map(label_list[lo:hi].count, range(self.num_classes)))
+                   for lo, hi in zip(bounds, stops)]
+                  if self.split else [[hi - lo] for lo, hi in zip(bounds, stops)])
+        if rng is not None:  # each queue's rows after each batch
+            sizes, size, budget = [], [w.size for w in windows], self._budget(k)
+            for row in counts:
+                size = [min(w.capacity, s + c) for w, s, c in zip(windows, size, row)]
+                sizes.append(size)
+        first = run_end = 0
+        while first < len(stops):
+            stop = first + 1
+            if stop < len(stops):
+                # the segment takes the next batch while each queue's rows from the first
+                # batch's window on fit its 2 * capacity rows
+                need = [min(w.capacity, w.size + c) for w, c in zip(windows, counts[first])]
+                while stop < len(stops):
+                    need = [n + c for n, c in zip(need, counts[stop])]
+                    if any(n > 2 * w.capacity for w, n in zip(windows, need)):
+                        break
+                    stop += 1
+            columns = list(zip(*counts[first:stop]))  # each queue's rows per batch
+            totals = list(map(sum, columns))
+            segment, end = block, bounds[first]
+            if totals.count(0) < len(totals) - 1:  # more than one queue: sort by queue
+                order = end + np.argsort(labels[end : bounds[stop]], kind="stable")
+                segment, end = {key: values[order] for key, values in block.items()}, 0
+            states = []
+            for w, column, total in zip(windows, columns, totals):
+                if total:
+                    states.append((w, w.write(cols, segment, end, column)))
+                end += total
+            for i in range(first, stop):
+                for w, state in states:
+                    w.start, w.size = state[i - first]
+                if rng is None:
+                    yield None
+                    continue
+                if i >= run_end:
+                    run_end = i + 1
+                    while run_end < len(stops) and sizes[run_end] == sizes[i]:
+                        run_end += 1
+                    run_start = bounds[i]
+                    draws = _uniform_draws(rng, [size for size in sizes[i] if size], budget,
+                                           bounds[run_end] - run_start,
+                                           bounds[i + 1] - run_start)
+                yield [draw[bounds[i] - run_start : bounds[i + 1] - run_start]
+                       for draw in draws]
+            first = stop
 
     def _check_dims(self, z: np.ndarray, d_bias: np.ndarray) -> int:
         """The row dim d of the memory (of `z` while it is empty); raises unless both
@@ -195,8 +285,14 @@ class ClassMemory:
                                  f"memory rows have dim {d}")
         return d
 
-    def select(self, queries: np.ndarray, k: int,
-               rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
+    def _budget(self, k: int) -> int:
+        """Rows per query from each queue: k in split mode, C * k in the unsplit queue."""
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        return k if self.split else self.num_classes * k
+
+    def select(self, queries: np.ndarray, k: int, rng: np.random.Generator | None = None,
+               picks: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
         """The support of each row of a (B, d) query block, stacked per column.
 
         Each non-empty queue gives the top `budget` of its rows by inner
@@ -205,34 +301,38 @@ class ClassMemory:
         read.  The draw gives the indices, and leaves the generator state, of
         one `rng.choice(size, min(budget, size), replace=False)` per query and
         then per queue; it is made as one block (`_uniform_draws`), or as those
-        calls when the block cannot match them.  The budget is k per queue in
-        split mode and C * k in the single unsplit queue.  Returns z, d_weight
+        calls when the block cannot match them.  `picks`, each non-empty queue's
+        indices of such a draw for these queries (made for a run of batches by
+        `insert_batches`), take the place of ranking or drawing.  The windows
+        read are the memory's current ones: during `insert_batches`, those of
+        the batch it last yielded, planned from the pseudo-labels.  The budget
+        is k per queue in split mode and C * k in the single unsplit queue.
+        Returns z, d_weight
         (formed as d_bias * z), d_bias, entropy and domain (codes into
         `domain_names`) as (B, m, ...) arrays, each query's support queue by
         queue; every query sees the same memory, so m is the same for all.  An
         empty memory gives {}.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        budget = k if self.split else self.num_classes * k
+        budget = self._budget(k)
         windows = [w for w in self._windows if w.size]
         if not windows:
             return {}
         cols = self._cols
         sizes = [w.size for w in windows]
-        if rng is None:
+        if picks is None and rng is None:
             # one gemv per query and queue into a (B, W, n) block, -inf past a short queue:
             # padding sits at a row's highest columns and never outranks a similarity
             B, n = len(queries), max(sizes)
             sims = np.empty((B, len(windows), n))
             if min(sizes) < n:
                 sims.fill(-np.inf)
+            z, column = cols["z"], queries[:, :, None]
             for i, w in enumerate(windows):
-                np.matmul(cols["z"][w.rows], queries[:, :, None], out=sims[:, i, : w.size, None])
+                np.matmul(z[w.rows], column, out=sims[:, i, : w.size, None])
             top = _top(sims.reshape(-1, n), budget)
             top = top.reshape(B, len(windows), top.shape[1])
             picks = [top[:, i, : min(budget, size)] for i, size in enumerate(sizes)]
-        else:
+        elif picks is None:
             picks = _uniform_draws(rng, sizes, budget, len(queries))
         rows = np.concatenate([w.base + w.start + idx for w, idx in zip(windows, picks)], axis=1)
         block = {key: cols[key].take(rows, axis=0) for key in ("z", "d_bias", "entropy", "domain")}
@@ -262,7 +362,7 @@ def _first(block: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def _uniform_draws(rng: np.random.Generator, sizes: list[int], budget: int,
-                   n_queries: int) -> list[np.ndarray]:
+                   n_queries: int, block: int | None = None) -> list[np.ndarray]:
     """Per queue size n, an (n_queries, min(budget, n)) block of uniform draws without
     replacement: exactly the indices, and the generator state, of one
     `rng.choice(n, min(budget, n), replace=False)` per query and then per queue.
@@ -270,12 +370,13 @@ def _uniform_draws(rng: np.random.Generator, sizes: list[int], budget: int,
     For these sizes `choice` runs Floyd's algorithm (for j = n-s ... n-1 draw a value
     in [0, j]; a value already taken becomes j) and then a Fisher-Yates shuffle (for
     i = s-1 ... 1 swap slot i with a draw in [0, i]).  Each draw in [0, j] is Lemire's
-    method on one 32-bit word, (x * (j+1)) >> 32, and j = 0 takes no word.  So one
-    `integers` call fetches every word of the block in the loop's order and the draws
-    are replayed as array steps over the queries (a queue holds far fewer than the
-    2**32 rows past which `choice` draws 64-bit words).  When Lemire would redraw a
-    word, or a queue takes `choice`'s tail shuffle (n > 10000 and s > n // 50), the
-    state is restored and the per-call loop runs instead.
+    method on one 32-bit word, (x * (j+1)) >> 32, and j = 0 takes no word.  So the
+    words of `block` queries at a time (default: all) are fetched by one `integers`
+    call each, in the loop's order, and the draws of all queries are replayed as
+    array steps (a queue holds far fewer than the 2**32 rows past which `choice`
+    draws 64-bit words).  When Lemire would redraw a word of a block, the state is
+    restored and the per-call loop draws that block's queries instead; when a queue
+    takes `choice`'s tail shuffle (n > 10000 and s > n // 50), it draws them all.
     """
     counts = [min(budget, n) for n in sizes]
     if any(n > 10000 and s > n // 50 for n, s in zip(sizes, counts)):
@@ -290,29 +391,41 @@ def _uniform_draws(rng: np.random.Generator, sizes: list[int], budget: int,
                        axis=1)
     takes = np.concatenate([t < s, t[::-1] < s], axis=1) & (j > 0)
     bound = j[takes].astype(np.uint64)
-    state = rng.bit_generator.state
-    words = rng.integers(0, 2**32, size=(n_queries, len(bound)), dtype=np.uint32)
-    scaled = words.astype(np.uint64) * (bound + 1)
-    if np.any((scaled & 0xFFFFFFFF) < (2**32 - 1 - bound) % (bound + 1)):
-        rng.bit_generator.state = state
-        return _per_call_draws(rng, sizes, counts, n_queries)
+    redraw = (2**32 - 1 - bound) % (bound + 1)
     # a slot without a word draws its j: Floyd's 0, or shuffle slot i swaps with itself
-    draws = np.broadcast_to(j, (n_queries, W, 2 * S)).copy()
-    draws[:, takes] = scaled >> 32
+    draws = np.empty((n_queries, W, 2 * S), dtype=np.uint32)
+    draws[:] = j
+    fallbacks = []
+    step = block or max(n_queries, 1)
+    for lo in range(0, n_queries, step):
+        hi = min(lo + step, n_queries)
+        state = rng.bit_generator.state
+        # dtype uint64 draws the same 32-bit words, into the width Lemire's product needs
+        scaled = rng.integers(0, 2**32, size=(hi - lo, len(bound)), dtype=np.uint64)
+        scaled *= bound + 1
+        if np.any(scaled.astype(np.uint32) < redraw):
+            rng.bit_generator.state = state
+            fallbacks.append((lo, _per_call_draws(rng, sizes, counts, hi - lo)))
+        else:
+            scaled >>= 32
+            draws[lo:hi, takes] = scaled
     idx = np.empty((n_queries, W, S), dtype=np.int64)
     for slot in range(S):
         value = draws[:, :, slot]
         taken = (idx[:, :, :slot] == value[:, :, None]).any(axis=2)
         idx[:, :, slot] = np.where(taken, j[:, slot], value)
     idx = idx.reshape(n_queries * W, S)
-    swaps = draws[:, :, : S - 1 : -1].reshape(n_queries * W, S)
+    swaps = draws.reshape(n_queries * W, 2 * S)  # shuffle slot i draws in column 2S-1-i
     rows = np.arange(n_queries * W)
     for i in range(S - 1, 0, -1):
-        other = swaps[:, i]
+        other = swaps[:, 2 * S - 1 - i]
         held = idx[rows, other]
         idx[rows, other] = idx[:, i]
         idx[:, i] = held
     idx = idx.reshape(n_queries, W, S)
+    for lo, picks in fallbacks:
+        for w, pick in enumerate(picks):
+            idx[lo : lo + len(pick), w, : pick.shape[1]] = pick
     return [idx[:, w, :c] for w, c in enumerate(counts)]
 
 

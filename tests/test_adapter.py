@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,21 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retta.adapter
+import retta.memory
 from retta.adapter import (
+    VARIANTS,
     AdapterConfig,
+    Outcomes,
     ablation_config,
     adapt_and_predict,
     aggregate,
     aggregate_recomputed,
     gd_step,
     process_batch,
+    reference_adapter_config,
     run_entropy_baseline,
     run_stream,
     run_zero_shot,
     signsgd_step,
     weigh,
 )
-from retta.datagen import StreamConfig, generate
+from retta.datagen import StreamConfig, generate, reference_stream_config
 from retta.memory import ClassMemory
 from retta.model import (
     AffineParams,
@@ -376,6 +381,170 @@ def test_selected_gradients_are_bitwise_the_gradient_pass_of_their_sample(data):
                 rows = [sample_of[z.tobytes()] for z in block["z"][q]]
                 assert block["d_weight"][q].tobytes() == grads.d_weight[rows].tobytes()
                 assert block["d_bias"][q].tobytes() == grads.d_bias[rows].tobytes()
+
+
+def near_class_stream(seed: int, C: int, labels: list[int], domains: list[int],
+                      names: tuple[str, ...]) -> tuple[Stream, TextBank]:
+    """A stream whose row i lies near class labels[i]'s text embedding (so it takes that
+    pseudo-label), with domain codes `domains` (-1: no domain) into `names`."""
+    rng = np.random.default_rng(seed)
+    d = 8
+    emb = rng.standard_normal((C, d))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    V = emb[labels].reshape(len(labels), d) + 0.1 * rng.standard_normal((len(labels), d))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    return (Stream(V, np.full(len(labels), -1), np.array(domains, dtype=np.int64), names),
+            TextBank(emb, float(np.log(10.0)), [f"c{c}" for c in range(C)]))
+
+
+def assert_run_stream_replays_process_batch(stream: Stream, bank: TextBank, cfg: AdapterConfig):
+    """`run_stream` equals one `process_batch` per batch on one persistent memory and
+    generator: both posteriors, the support sizes and domains bitwise, and (through the
+    engine `run_stream` runs on a fresh memory) the final generator state and queues."""
+    mem = ClassMemory(bank.num_classes, cfg.capacity_per_class, split=cfg.split_memory)
+    rng = np.random.default_rng(cfg.seed)
+    got = retta.adapter._adapt(stream, mem, cfg, bank, rng)
+    mem2 = ClassMemory(bank.num_classes, cfg.capacity_per_class, split=cfg.split_memory)
+    rng2 = np.random.default_rng(cfg.seed)
+    want = Outcomes.concat([process_batch(stream[start : start + cfg.batch_size], mem2, cfg, bank,
+                                          rng=rng2)
+                            for start in range(0, len(stream), cfg.batch_size)])
+    for out in (got, run_stream(stream, cfg, bank)):
+        for name in ("adapted", "zero_shot"):
+            a, b = getattr(out, name), getattr(want, name)
+            for key in ("logits", "probs", "entropy", "labels"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        for x, y in ((out.support_size, want.support_size),
+                     (out.support_domains, want.support_domains)):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert out.domain_names == want.domain_names
+        assert out.support_domains.shape[1] == out.support_size.max()  # no spare padding
+    assert rng.bit_generator.state == rng2.bit_generator.state
+    assert queues(mem) == queues(mem2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_run_stream_is_a_replay_of_process_batch_on_one_memory(data):
+    """Over 2-5 classes (a text bank needs two; a class that never appears leaves one
+    queue), queues of 1-12 rows, k 1-4, every variant (split and unsplit, top-k and
+    uniform draws), batch sizes that need not divide the stream, rows without a domain
+    and a class that first appears late or never."""
+    C = data.draw(st.integers(2, 5), label="C")
+    n = data.draw(st.integers(1, 40), label="n")
+    labels = data.draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n), label="labels")
+    late = data.draw(st.integers(0, C - 1), label="late class")
+    first = data.draw(st.integers(0, n), label="its first row (n: never)")
+    labels = [(c + 1) % C if c == late and i < first else c for i, c in enumerate(labels)]
+    names = ("a", "b", "c")[: data.draw(st.integers(0, 3), label="domains")]
+    domains = data.draw(st.lists(st.integers(-1, len(names) - 1), min_size=n, max_size=n),
+                        label="domain codes")
+    stream, bank = near_class_stream(data.draw(st.integers(0, 9), label="stream seed"), C,
+                                     labels, domains, names)
+    cfg = ablation_config(AdapterConfig(
+        capacity_per_class=data.draw(st.integers(1, 12), label="capacity"),
+        retrieve_k=data.draw(st.integers(1, 4), label="k"),
+        batch_size=data.draw(st.sampled_from([1, 2, 3, 5, 7, 16, 40]), label="batch size"),
+        seed=data.draw(st.integers(0, 99), label="seed")),
+        data.draw(st.sampled_from(sorted(VARIANTS)), label="variant"))
+    assert_run_stream_replays_process_batch(stream, bank, cfg)
+
+
+@pytest.mark.parametrize("C, labels, batch_size", [
+    (3, [0, 1, 2] * 9 + [0], 1),   # batch 1; 3 queues: an odd word count per query
+    (3, [0, 1, 2, 2, 1] * 6, 4),   # 30 rows in batches of 4, 3 queues
+    (5, [0, 2, 4] * 10, 7),        # classes 1 and 3 never appear: 3 queues, odd words
+    (4, [0] * 12 + [1, 2, 3] * 6, 5),  # classes 1-3 first appear at row 12
+])
+@pytest.mark.parametrize("variant", ["no-dc", "no-pb-dc", "full"])
+def test_run_stream_replay_on_odd_word_draws_and_late_classes(C, labels, batch_size, variant):
+    """Shapes whose uniform draw takes an odd number of 32-bit words per query, so one
+    merged draw crosses PCG64's buffered half-word between queries."""
+    stream, bank = near_class_stream(1, C, labels, [i % 3 - 1 for i in range(len(labels))],
+                                     ("a", "b"))
+    cfg = ablation_config(AdapterConfig(capacity_per_class=4, retrieve_k=2,
+                                        batch_size=batch_size, seed=3), variant)
+    assert_run_stream_replays_process_batch(stream, bank, cfg)
+
+
+def test_process_batch_reads_every_queue_of_a_memory_wider_than_the_bank():
+    """A memory with a queue per class and one more, every queue holding rows: each
+    query's support takes a row from every queue, wider than the bank's C * k, as the
+    per-sample oracle reads it."""
+    samples, bank = small_stream(n=60)
+    cfg = small_engine_cfg(batch_size=20, retrieve_k=1)
+    mem = ClassMemory(bank.num_classes + 1, cfg.capacity_per_class)
+    grads = batch_grads(samples.features[20:], AffineParams.pretrained(bank.dim), bank)
+    for labels in (grads.labels, np.full(40, bank.num_classes)):
+        mem.insert_block(samples.features[20:], grads.d_bias, grads.entropy, labels, [None] * 40)
+    assert all(queues(mem))
+    out = process_batch(samples[:20], mem, cfg, bank)
+    assert out.support_domains.shape[1] == out.support_size.max() > bank.num_classes
+    for s, got in zip(samples[:20], out):
+        ref = adapt_and_predict(s, mem, cfg, bank, recompute_grads=True)
+        assert (got.support_size, got.support_domain_ids) == (ref.support_size,
+                                                              ref.support_domain_ids)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return generate(reference_stream_config(0))
+
+
+@pytest.mark.parametrize("variant", ["no-dc", "no-pb-dc"])
+def test_reference_stream_draws_once_per_window_sizes_and_writes_once_per_segment(
+        monkeypatch, reference, variant):
+    """On the reference stream the uniform draw is one `_uniform_draws` call per distinct
+    tuple of window sizes, and each queue is written once per segment of batches: with
+    batches no larger than a queue, every segment but the last holds two or more."""
+    stream, bank = reference
+    cfg = ablation_config(reference_adapter_config(0), variant)
+    draws, writes = [], []
+    real_draws, real_write = retta.memory._uniform_draws, retta.memory._Window.write
+
+    def draw(rng, sizes, budget, n_queries, block=None):
+        draws.append((tuple(sizes), n_queries))
+        return real_draws(rng, sizes, budget, n_queries, block)
+
+    def write(self, cols, block, lo, counts):
+        writes.append(len(counts))
+        return real_write(self, cols, block, lo, counts)
+
+    monkeypatch.setattr(retta.memory, "_uniform_draws", draw)
+    monkeypatch.setattr(retta.memory._Window, "write", write)
+    run_stream(stream, cfg, bank)
+    assert cfg.batch_size <= cfg.capacity_per_class
+    assert len(draws) == len({sizes for sizes, _ in draws}) < len(stream) // cfg.batch_size
+    assert sum(n for _, n in draws) == len(stream)
+    assert sum(writes) >= len(stream) // cfg.batch_size
+    assert min(writes[: -bank.num_classes]) >= 2
+
+
+# tracemalloc peak bytes of `run_stream` on reference seed 0, each variant in a fresh
+# process in this order, measured (numpy 2.4.6) on the engine that inserted and adapted
+# each batch on its own and joined the batches' outcomes at the end
+BATCH_BY_BATCH_PEAK = {"full": 3575170, "no-dc": 3566954, "no-entw": 3561441, "no-pb": 3558936,
+                       "no-pb-dc": 3558960, "no-simw": 3561417}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_run_stream_peak_stays_within_the_batch_by_batch_peak_plus_the_stores(reference,
+                                                                            variant):
+    """The engine keeps, beyond the batch-by-batch engine, the stream's dH/dz rows (made
+    before the first insert) and, for a uniform draw, a run's indices (at most C * k per
+    query); its traced peak stays within that engine's peak plus those bytes."""
+    stream, bank = reference
+    cfg = ablation_config(reference_adapter_config(0), variant)
+    n, d = stream.features.shape
+    stores = 8 * n * d + (0 if cfg.topk_selection else 8 * n * bank.num_classes * cfg.retrieve_k)
+    tracemalloc.start()
+    try:
+        run_stream(stream, cfg, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BATCH_BY_BATCH_PEAK[variant] + stores
 
 
 def test_cached_engine_builds_no_per_sample_entries_or_grad_records(monkeypatch):

@@ -284,6 +284,43 @@ def test_rows_without_a_label_or_domain_round_trip_as_null(tmp_path):
     assert loaded.features.tobytes() == Stream.from_samples(samples).features.tobytes()
 
 
+def json_dumps_lines(stream: Stream) -> bytes:
+    """The JSONL of `save_jsonl` written the plain way: one `json.dumps` of a dict per row."""
+    names = [*stream.domain_names, None]
+    return "".join(json.dumps({"v": v, "label": None if label < 0 else label,
+                               "domain": names[code]}) + "\n"
+                   for v, label, code in zip(stream.features.tolist(), stream.labels.tolist(),
+                                             stream.domains.tolist())).encode()
+
+
+# floats whose repr takes every form: signed zero, the smallest subnormal, exponents
+# either side of the repr's switch to scientific notation, and non-finite values
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-7, 0.0001, 1e-5,
+               1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_save_jsonl_writes_the_bytes_of_one_json_dumps_per_row(tmp_path_factory, data):
+    """Domain names with quotes, backslashes, control characters and non-ASCII; features
+    from the edge floats and any others, a row with a non-finite value among them."""
+    n = data.draw(st.integers(0, 8), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True))
+    features = np.array(data.draw(st.lists(floats, min_size=n * d, max_size=n * d),
+                                  label="features"), dtype=np.float64).reshape(n, d)
+    names = data.draw(st.lists(st.text(alphabet=st.sampled_from('"\\\x00\x1f\n\té€😀a/'),
+                                       max_size=6), max_size=4, unique=True), label="names")
+    labels = data.draw(st.lists(st.integers(-1, 2**62), min_size=n, max_size=n), label="labels")
+    domains = data.draw(st.lists(st.integers(-1, len(names) - 1), min_size=n, max_size=n),
+                        label="domains")
+    stream = Stream(features, np.array(labels, dtype=np.int64),
+                    np.array(domains, dtype=np.int64), tuple(names))
+    path = tmp_path_factory.mktemp("jsonl") / "stream.jsonl"
+    save_jsonl(stream, path)
+    assert path.read_bytes() == json_dumps_lines(stream)
+
+
 def assert_same_stream(got, want):
     """Bitwise the same stream: arrays of the same dtype, shape and bytes, the same names."""
     assert got.features.dtype == want.features.dtype == np.float64

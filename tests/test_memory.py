@@ -598,6 +598,39 @@ def test_block_draw_makes_no_choice_call():
         assert assert_block_draw_equals_per_call(start_state(0, False), sizes, budget, 64) == 0
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_block_draw_in_blocks_of_queries_equals_per_call_choice(data):
+    """The words fetched `block` queries at a time: the same indices and final state for
+    any block size, from states with and without a buffered half word."""
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=5), label="sizes")
+    budget = data.draw(st.integers(1, 6), label="budget")
+    n_queries = data.draw(st.integers(1, 9), label="queries")
+    state = start_state(data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                        data.draw(st.booleans(), label="half_word"))
+    block, loop = generator_at(state), generator_at(state)
+    got = _uniform_draws(block, sizes, budget, n_queries,
+                         data.draw(st.integers(1, n_queries), label="block"))
+    for g, e in zip(got, per_call_draws(loop, sizes, budget, n_queries), strict=True):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        np.testing.assert_array_equal(g, e)
+    assert block.bit_generator.state == loop.bit_generator.state
+    assert block.calls == 0
+
+
+def test_block_draw_falls_back_for_the_block_of_queries_that_would_redraw():
+    """A buffered zero half word makes the first block's first draw redraw: that block of
+    2 queries (4 `choice` calls) falls back, and the blocks after it draw as one."""
+    state = start_state(5, False)
+    state.update(has_uint32=1, uinteger=0)
+    block, loop = generator_at(state), generator_at(state)
+    got = _uniform_draws(block, [7, 7], 3, 5, 2)
+    for g, e in zip(got, per_call_draws(loop, [7, 7], 3, 5), strict=True):
+        np.testing.assert_array_equal(g, e)
+    assert block.bit_generator.state == loop.bit_generator.state
+    assert block.calls == 4
+
+
 def test_block_draw_falls_back_when_lemire_would_redraw():
     """A zero word is rejected by Lemire's method whenever (2**32 - 1 - j) % (j + 1) > 0:
     a buffered zero half word makes the first draw (j = 7 - 3 = 4) redraw, and the block

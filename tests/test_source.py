@@ -1,8 +1,8 @@
 """Source hygiene: every name a retta module imports is used in that module, every private
 constant it defines is read there, every name `retta.__all__` exports is bound, every file is
 written through `model.create_file`, every function the benchmark's tracer wraps is bound
-where the tracer looks it up, and every name a docstring quotes in backticks is bound
-somewhere in the package."""
+where the tracer looks it up, every name a docstring quotes in backticks is bound
+somewhere in the package, and no module but memory.py reads the class memory's windows."""
 
 from __future__ import annotations
 
@@ -97,6 +97,42 @@ def test_writes_outside_the_writer_finds_each_way_to_open_for_writing():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_writes_files_only_through_create_file(path):
     assert writes_outside_the_writer(path.read_text()) == []
+
+
+# the window policy of the class memory: its queues, its shared rows and the queue type
+WINDOW_NAMES = {"_windows", "_cols", "_Window"}
+
+
+def window_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each read of a name in `WINDOW_NAMES` in `source`: as an attribute
+    (`mem._cols`, `memory._Window`), a bare name, or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in WINDOW_NAMES:
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in WINDOW_NAMES:
+            found.add((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((node.lineno, a.name) for a in node.names if a.name in WINDOW_NAMES)
+    return sorted(found)
+
+
+def test_window_reads_finds_every_way_to_reach_the_windows():
+    source = ("from .memory import ClassMemory, _Window\n"
+              "w = mem._windows[0]\n"
+              "rows = self._cols['z']\n"
+              "q = memory._Window(1, 0)\n"
+              "ok = mem.windows, mem.cols, Window\n")
+    assert window_reads(source) == [(1, "_Window"), (2, "_windows"), (3, "_cols"),
+                                    (4, "_Window")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "memory.py"],
+                         ids=lambda p: p.name)
+def test_only_memory_reads_the_queue_windows(path):
+    """The window arithmetic (which rows each queue holds, batch by batch) lives in
+    memory.py alone; other modules go through `ClassMemory`'s methods."""
+    assert window_reads(path.read_text()) == []
 
 
 # backticked words in docstrings that name no Python binding: the CLI's subcommands and
