@@ -9,17 +9,17 @@ cached at the pretrained parameters valid forever.
 
 `run_stream` runs these steps for a stream of batches as array operations:
 one posterior pass per batch for the gradients and zero-shot predictions,
-all made first, then `ClassMemory.insert_batches`, which writes the rows
-into memory a segment of batches at a time and steps the queue windows
-batch by batch, and per batch `ClassMemory.select` for the queries' supports
-and the weighting, aggregation, step and adapted predict with a leading
-batch axis, over row chunks that keep the (queries, support, dim)
-temporaries within a fixed byte budget.  The windows can be planned from
-the pseudo-labels because the memory holds pretrained-parameter values and
-adaptation is episodic: what batch b reads is each queue's last rows in
-arrival order through batch b, which the zero-shot labels alone decide.  So
-every batch reads the same rows in the same order as with one insert per
-batch, and every output is bitwise the same.  `process_batch` is the
+all made first, then `ClassMemory.insert_batches`, which writes every row
+into memory once and steps the queue windows batch by batch, and per batch
+`ClassMemory.select` for the queries' supports and the weighting,
+aggregation, step and adapted predict with a leading batch axis, over row
+chunks that keep the (queries, support, dim) temporaries within a fixed byte
+budget.  The windows can be planned from the pseudo-labels because the
+memory holds pretrained-parameter values and adaptation is episodic: what
+batch b reads is each queue's last rows in arrival order through batch b,
+which the zero-shot labels alone decide.  So every batch reads the same rows
+in the same order as with one insert per batch, and every output is bitwise
+the same.  `process_batch` is the
 one-batch case on a memory the caller keeps.  The per-sample engine
 (`adapt_and_predict` with `weigh`, `aggregate` and `aggregate_recomputed`)
 is the oracle it is checked and timed against; the recomputing mode of
@@ -412,12 +412,12 @@ def _adapt(stream: Stream, mem: ClassMemory, cfg: AdapterConfig, bank: TextBank,
     """The cached engine over `stream` in batches of `cfg.batch_size` rows, on `mem`.
 
     One gradient pass per batch gives every pseudo-label before any row is
-    inserted (the stream's dH/dz rows are kept until their segment is written);
-    `ClassMemory.insert_batches` then writes the rows a segment of batches at a
-    time and steps its windows batch by batch, and each batch adapts as array
-    operations on its own windows, in as few row chunks as `_BLOCK_BYTES`
-    allows.  Support sizes and domains go straight into the stream's arrays;
-    the chunks' adapted posteriors are joined once.
+    inserted; `ClassMemory.insert_batches` then writes every row once (after
+    which the memory holds the only copy of the stream's dH/dz rows) and steps
+    its windows batch by batch, and each batch adapts as array operations on
+    its own windows, in as few row chunks as `_BLOCK_BYTES` allows for the
+    support those windows give.  Support sizes and domains go straight into
+    the stream's arrays; the chunks' adapted posteriors are joined once.
     """
     params0 = AffineParams.pretrained(bank.dim)
     V = stream.features  # the embeddings too: forward at params0 is the identity
@@ -434,17 +434,18 @@ def _adapt(stream: Stream, mem: ClassMemory, cfg: AdapterConfig, bank: TextBank,
     steps = mem.insert_batches(V, d_bias, zero_shot.entropy, zero_shot.labels,
                                list(map(names.__getitem__, stream.domains.tolist())), stops, k,
                                None if cfg.topk_selection else rng)
+    del d_bias  # `insert_batches` drops its own reference once it has written the rows
     # float64s per query: the support stacks and distances (4 d + 10 per entry) of at most
-    # the memory's C * k entries, split or not (the planned windows of a later batch may be
-    # fuller than the memory before its insert); 4 per row of the total capacity C * K for
-    # the padded similarity block, `_top`'s partition (or negated) copy and int64 tie count
-    # (or sort order), and its at most 5 bool masks (1 together); the adapted posterior (8
-    # per class, 4 per dim)
+    # min(len(mem), C * k) entries, split or not, read from the batch's windows; 4 per row
+    # of the total capacity C * K for the padded similarity block, `_top`'s partition (or
+    # negated) copy and int64 tie count (or sort order), and its at most 5 bool masks (1
+    # together); the adapted posterior (8 per class, 4 per dim)
     widest, capacity = mem.num_classes * k, mem.num_classes * mem.capacity_per_class
-    per_query = (4 * bank.dim + 10) * widest + 4 * capacity + 8 * C + 4 * bank.dim
+    fixed = 4 * capacity + 8 * C + 4 * bank.dim
     adapted, width = [], 0
     support_size, support_domains = np.empty(n, dtype=np.int64), np.full((n, widest), -1)
     for picks, start, stop in zip(steps, [0, *stops], stops):  # `steps` first: runs to its end
+        per_query = (4 * bank.dim + 10) * min(len(mem), widest) + fixed
         for chunk in _row_chunks(stop - start, per_query):
             rows = slice(start + chunk.start, start + chunk.stop)
             support = mem.select(V[rows], k, picks=None if picks is None
@@ -467,10 +468,12 @@ def run_stream(
     """Run the full cached-adaptation engine over a stream, batch by batch.
 
     The cached engine plans each batch's cache windows from the stream's
-    pseudo-labels, so it makes every gradient pass first and writes the memory a
-    segment of batches at a time (see `ClassMemory.insert_batches`); its outputs
-    are bitwise those of one `process_batch` per batch on one memory and
-    generator.  `recompute_grads` runs that replay with the per-sample oracle.
+    pseudo-labels, so it makes every gradient pass first and writes every row
+    into the memory in one call (see `ClassMemory.insert_batches`): the fresh
+    memory then holds the whole stream's rows, z, dH/dz, entropy and domain, as
+    the caller holds the stream.  Its outputs are bitwise those of one
+    `process_batch` per batch on one memory and generator.  `recompute_grads`
+    runs that replay with the per-sample oracle.
     """
     if not len(stream):
         return Outcomes.unadapted(_zero_shot(stream.features, bank))

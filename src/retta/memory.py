@@ -8,16 +8,20 @@ model.  Retrieval takes the most similar rows per class queue, which makes
 the returned support set class-balanced by construction whenever the queues
 are warm.
 
-Each queue owns 2 * capacity rows of columns shared by all queues, allocated
-on the first insert: z, d_bias (dH/dz), entropy and domain (a code into
-`domain_names`, -1 for none).  There is no per-row object.  A queue's live
-rows are a window [start, start + size), oldest first; an insert writes the
-next rows, dropping the oldest beyond capacity, and when the window hits the
-end of its rows they move back to its first row, so each row is copied O(1)
-times on average.  Rows stay in arrival order, never rotated as in a ring
-buffer: BLAS gemv can round a row's dot product differently by its place in
-the block, which would give duplicate embeddings unequal similarities and
-break the ties-to-newer order of a scan over the queue oldest first.
+Each queue owns rows of columns shared by all queues: z, d_bias (dH/dz),
+entropy and domain (a code into `domain_names`, -1 for none).  There is no
+per-row object.  A queue's live rows are a window [start, start + size),
+oldest first; an insert writes the new rows behind them and steps the window
+over them, dropping the oldest beyond capacity.  A queue owns 2 * capacity
+rows, or more where one call's live and new rows need more: when the new
+rows do not fit behind the window, the live rows move back to the queue's
+first row, and when even that cannot hold them, the columns are laid out
+anew (the first insert allocates them so).  A queue that grew keeps its rows,
+so each row is copied O(1) times on average.  Rows stay in arrival order,
+never rotated as in a ring buffer: every window is then one slice of rows,
+and BLAS gemv can round a row's dot product differently by its place in the
+block, which in a rotated queue would give duplicate embeddings unequal
+similarities and break the ties-to-newer order of a scan oldest first.
 
 The weight gradient has no column: for the affine head dH/dweight = dH/dz * v,
 and at the pretrained parameters the stored z is v, so every read forms it as
@@ -26,18 +30,17 @@ d_bias * z, the same IEEE multiply as the gradient pass, bitwise.
 `insert_batches` writes a stream of batches and steps the windows batch by
 batch.  A queue's window after batch b is its last rows in arrival order
 through batch b, so every window follows from the pseudo-label counts before
-any row is written: the rows go in segments, one block per queue each, as
-many batches as fit in each queue's 2 * capacity rows together with the old
-rows the segment's first window still reads, and each window steps forward
-over rows already written.  A batch's `select` then ranks the same rows, in
-the same order and the same gemv block, as after one insert per batch, so
-the windows are exact.  `insert_block` is its one-batch case and `insert`
-the one-row form of that.  `select` serves a whole batch of queries at once:
-one gemv per query and queue (a matrix product would round by the query's
-place in the batch), written into one (queries, queues, longest queue) block
-padded with -inf, one top-k over all its rows by a threshold (`_top`), and
-one `take` per column read from the shared rows.  `retrieve` and
-`sample_uniform` are its one-query forms, which the per-sample engine reads.
+any row is written: one call writes each queue's new rows once, behind its
+live rows, and each window steps forward over rows already written.  A
+batch's `select` then ranks the same rows, in the same order and the same
+gemv block, as after one insert per batch, so the windows are exact.
+`insert_block` is its one-batch case and `insert` the one-row form of that.
+`select` serves a whole batch of queries at once: one gemv per query and
+queue (a matrix product would round by the query's place in the batch),
+written into one (queries, queues, longest queue) block padded with -inf,
+one top-k over all its rows by a threshold (`_top`), and one `take` per
+column read from the shared rows.  `retrieve` and `sample_uniform` are its
+one-query forms, which the per-sample engine reads.
 
 The uniform draw of the no-domain-consistency ablation is pinned to one
 `rng.choice(size, budget, replace=False)` per query and then per queue.
@@ -64,10 +67,12 @@ from .model import UNIT_NORM_TOL
 
 @dataclass(slots=True)
 class _Window:
-    """One queue: live rows [base + start, base + start + size) of its 2 * capacity rows."""
+    """One queue: live rows [base + start, base + start + size) of its rows
+    [base, base + owned) in the columns."""
 
     capacity: int
-    base: int
+    base: int = 0
+    owned: int = 0
     start: int = 0
     size: int = 0
 
@@ -75,38 +80,6 @@ class _Window:
     def rows(self) -> slice:
         """The live rows, oldest first."""
         return slice(self.base + self.start, self.base + self.start + self.size)
-
-    def write(self, cols: dict[str, np.ndarray], block: dict[str, np.ndarray], lo: int,
-              counts: tuple[int, ...]) -> list[tuple[int, int]]:
-        """Append a segment's rows, rows lo, lo + 1, ... of `block` (an array per column)
-        in arrival order, counts[j] of them from batch j; returns the (start, size) the
-        queue has after each batch, the last one its new state.
-
-        The rows the segment's windows read, from the first batch's oldest to the last
-        row, must fit the queue's 2 * capacity rows: `ClassMemory.insert_batches` plans
-        segments so.  Rows of the first batch beyond capacity are never read and not
-        written; when the rows would pass the end, the old rows still read move back
-        to the first row first.
-        """
-        capacity, size = self.capacity, self.size
-        skip = max(0, counts[0] - capacity)
-        kept = min(capacity - counts[0], size) if skip == 0 else 0  # old rows still read
-        new = sum(counts) - skip
-        start = self.start + size - kept
-        if start + kept + new > 2 * capacity:
-            src = self.base + start
-            for col in cols.values():
-                col[self.base : self.base + kept] = col[src : src + kept]
-            start = 0
-        row, lo = self.base + start + kept, lo + skip
-        for key, values in block.items():
-            cols[key][row : row + new] = values[lo : lo + new]
-        states, end = [], start + kept - skip
-        for count in counts:
-            end, size = end + count, min(capacity, size + count)
-            states.append((end - size, size))
-        self.start, self.size = states[-1]
-        return states
 
 
 class ClassMemory:
@@ -128,9 +101,8 @@ class ClassMemory:
         self.num_classes = num_classes
         self.capacity_per_class = capacity_per_class
         self.split = split
-        K = capacity_per_class
-        self._windows = ([_Window(K, base=2 * K * c) for c in range(num_classes)] if split
-                         else [_Window(num_classes * K, base=0)])
+        self._windows = ([_Window(capacity_per_class) for _ in range(num_classes)] if split
+                         else [_Window(num_classes * capacity_per_class)])
         self._cols: dict[str, np.ndarray] = {}
         self._domain_codes: dict[str, int] = {}
 
@@ -140,7 +112,7 @@ class ClassMemory:
         return tuple(self._domain_codes)
 
     def __len__(self) -> int:
-        return sum(w.size for w in self._windows)
+        return sum([w.size for w in self._windows])
 
     def insert(self, z: np.ndarray, d_bias: np.ndarray, entropy: float, pseudo_label: int,
                domain: str | None = None) -> None:
@@ -184,10 +156,10 @@ class ClassMemory:
 
         After batch i a queue holds its last capacity rows in arrival order, so every
         window follows from the pseudo-label counts alone, before any row is written.
-        The batches are written in segments, one block per queue each: a segment is
-        as many batches as fit in every queue's 2 * capacity rows together with the
-        old rows its first window still reads, and each window steps forward over
-        rows already written.  With `rng`, each yield is the batch's uniform draw
+        Each queue's new rows are written once, behind its live rows and in arrival
+        order (a queue without room there moves its live rows to its first row, or
+        the columns are laid out anew), and each window steps forward over rows
+        already written.  With `rng`, each yield is the batch's uniform draw
         for `select`'s `picks`: one `_uniform_draws` call per run of consecutive
         batches whose window sizes are equal, which draws the words of one call per
         batch in the same order.  Otherwise each yield is None.  The rows are
@@ -208,72 +180,89 @@ class ClassMemory:
         if not len(z) == len(d_bias) == len(entropy) == len(domains) == r:
             raise ValueError("block columns have unequal row counts")
         d = self._check_dims(z, d_bias)
+        windows, bounds = self._windows, [0, *stops]
+        # rows per batch and queue, and per queue
+        counts = ([list(map(label_list[lo:hi].count, range(self.num_classes)))
+                   for lo, hi in zip(bounds, stops)]
+                  if self.split else [[hi - lo] for lo, hi in zip(bounds, stops)])
+        totals = counts[0] if len(counts) == 1 else list(map(sum, zip(*counts)))
+        for w, total in zip(windows, totals):
+            if w.start + w.size + total > w.owned:  # no room behind the live rows
+                if w.size + total > w.owned:  # nor from the first row: lay the columns out anew
+                    self._layout(d, [v.size + t for v, t in zip(windows, totals)])
+                    break
+                for col in self._cols.values():
+                    col[w.base : w.base + w.size] = col[w.rows]
+                w.start = 0
         cols = self._cols
-        if not cols:
-            n = 2 * self.num_classes * self.capacity_per_class
-            try:
-                cols.update(z=np.empty((n, d)), d_bias=np.empty((n, d)), entropy=np.empty(n),
-                            domain=np.empty(n, dtype=np.int64))
-            except (ValueError, MemoryError) as exc:
-                raise ValueError(f"a memory of capacity_per_class {self.capacity_per_class} x "
-                                 f"num_classes {self.num_classes} cannot be allocated: {exc}"
-                                 ) from None
         codes = self._domain_codes  # a new name takes the next code, in order of first row
         code = {name: -1 if name is None else codes.setdefault(name, len(codes))
                 for name in dict.fromkeys(domains)}
         block = dict(z=z, d_bias=d_bias, entropy=np.asarray(entropy),
                      domain=np.array(list(map(code.__getitem__, domains)), dtype=np.int64))
-        windows = self._windows
-        bounds = [0, *stops]
-        # rows per batch and queue
-        counts = ([list(map(label_list[lo:hi].count, range(self.num_classes)))
-                   for lo, hi in zip(bounds, stops)]
-                  if self.split else [[hi - lo] for lo, hi in zip(bounds, stops)])
+        # each queue's new rows behind its live rows, in arrival order
+        if r in totals:  # one queue takes every row
+            w = windows[totals.index(r)]
+            row = w.base + w.start + w.size
+            for key, col in cols.items():  # none yet if no row was ever inserted
+                col[row : row + r] = block[key]
+        else:  # sorted position p of queue q goes to its row p - (rows of queues before q)
+            shift, before = [], 0
+            for w, total in zip(windows, totals):
+                shift.append(w.base + w.start + w.size - before)
+                before += total
+            rows = np.empty(r, dtype=np.int64)
+            rows[np.argsort(labels, kind="stable")] = np.arange(r) + np.repeat(shift, totals)
+            for key, values in block.items():
+                cols[key][rows] = values
+        del d_bias, block  # the caller may free its rows
         if rng is not None:  # each queue's rows after each batch
             sizes, size, budget = [], [w.size for w in windows], self._budget(k)
             for row in counts:
                 size = [min(w.capacity, s + c) for w, s, c in zip(windows, size, row)]
                 sizes.append(size)
-        first = run_end = 0
-        while first < len(stops):
-            stop = first + 1
-            if stop < len(stops):
-                # the segment takes the next batch while each queue's rows from the first
-                # batch's window on fit its 2 * capacity rows
-                need = [min(w.capacity, w.size + c) for w, c in zip(windows, counts[first])]
-                while stop < len(stops):
-                    need = [n + c for n, c in zip(need, counts[stop])]
-                    if any(n > 2 * w.capacity for w, n in zip(windows, need)):
-                        break
-                    stop += 1
-            columns = list(zip(*counts[first:stop]))  # each queue's rows per batch
-            totals = list(map(sum, columns))
-            segment, end = block, bounds[first]
-            if totals.count(0) < len(totals) - 1:  # more than one queue: sort by queue
-                order = end + np.argsort(labels[end : bounds[stop]], kind="stable")
-                segment, end = {key: values[order] for key, values in block.items()}, 0
-            states = []
-            for w, column, total in zip(windows, columns, totals):
-                if total:
-                    states.append((w, w.write(cols, segment, end, column)))
-                end += total
-            for i in range(first, stop):
-                for w, state in states:
-                    w.start, w.size = state[i - first]
-                if rng is None:
-                    yield None
-                    continue
-                if i >= run_end:
-                    run_end = i + 1
-                    while run_end < len(stops) and sizes[run_end] == sizes[i]:
-                        run_end += 1
-                    run_start = bounds[i]
-                    draws = _uniform_draws(rng, [size for size in sizes[i] if size], budget,
-                                           bounds[run_end] - run_start,
-                                           bounds[i + 1] - run_start)
-                yield [draw[bounds[i] - run_start : bounds[i + 1] - run_start]
-                       for draw in draws]
-            first = stop
+        run_end = 0
+        for i, batch in enumerate(counts):
+            for w, count in zip(windows, batch):
+                if count:
+                    end = w.start + w.size + count
+                    w.size = min(w.capacity, w.size + count)
+                    w.start = end - w.size
+            if rng is None:
+                yield None
+                continue
+            if i >= run_end:
+                run_end = i + 1
+                while run_end < len(stops) and sizes[run_end] == sizes[i]:
+                    run_end += 1
+                run_start = bounds[i]
+                draws = _uniform_draws(rng, [size for size in sizes[i] if size], budget,
+                                       bounds[run_end] - run_start, bounds[i + 1] - run_start)
+            yield [draw[bounds[i] - run_start : bounds[i + 1] - run_start] for draw in draws]
+
+    def _layout(self, d: int, need: list[int]) -> None:
+        """Lay the columns out anew: each queue owns max(2 * capacity, need) rows, its
+        live rows first.
+
+        The first insert allocates the columns so; a memory too large for that raises
+        a ValueError naming `capacity_per_class` and `num_classes`."""
+        owned = [max(2 * w.capacity, rows) for w, rows in zip(self._windows, need)]
+        n = sum(owned)
+        try:
+            cols = dict(z=np.empty((n, d)), d_bias=np.empty((n, d)), entropy=np.empty(n),
+                        domain=np.empty(n, dtype=np.int64))
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"a memory of capacity_per_class {self.capacity_per_class} x "
+                             f"num_classes {self.num_classes} cannot be allocated: {exc}"
+                             ) from None
+        base = 0
+        for w, rows in zip(self._windows, owned):
+            if w.size:
+                for key, col in cols.items():
+                    col[base : base + w.size] = self._cols[key][w.rows]
+            w.base, w.owned, w.start = base, rows, 0
+            base += rows
+        self._cols = cols
 
     def _check_dims(self, z: np.ndarray, d_bias: np.ndarray) -> int:
         """The row dim d of the memory (of `z` while it is empty); raises unless both
@@ -305,13 +294,12 @@ class ClassMemory:
         indices of such a draw for these queries (made for a run of batches by
         `insert_batches`), take the place of ranking or drawing.  The windows
         read are the memory's current ones: during `insert_batches`, those of
-        the batch it last yielded, planned from the pseudo-labels.  The budget
-        is k per queue in split mode and C * k in the single unsplit queue.
-        Returns z, d_weight
-        (formed as d_bias * z), d_bias, entropy and domain (codes into
-        `domain_names`) as (B, m, ...) arrays, each query's support queue by
-        queue; every query sees the same memory, so m is the same for all.  An
-        empty memory gives {}.
+        the batch it last yielded, over rows the call has already written.  The
+        budget is k per queue in split mode and C * k in the single unsplit
+        queue.  Returns z, d_weight (formed as d_bias * z), d_bias, entropy and
+        domain (codes into `domain_names`) as (B, m, ...) arrays, each query's
+        support queue by queue; every query sees the same memory, so m is the
+        same for all.  An empty memory gives {}.
         """
         budget = self._budget(k)
         windows = [w for w in self._windows if w.size]

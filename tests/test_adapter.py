@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -492,33 +494,60 @@ def reference():
     return generate(reference_stream_config(0))
 
 
+class WriteSpy(np.ndarray):
+    """A memory column that records the rows each write into it covers."""
+
+    def __setitem__(self, index, values):
+        self.writes.append(np.arange(len(self))[index])
+        super().__setitem__(index, values)
+
+
 @pytest.mark.parametrize("variant", ["no-dc", "no-pb-dc"])
-def test_reference_stream_draws_once_per_window_sizes_and_writes_once_per_segment(
+def test_reference_stream_draws_once_per_window_sizes_and_writes_each_queue_once(
         monkeypatch, reference, variant):
     """On the reference stream the uniform draw is one `_uniform_draws` call per distinct
-    tuple of window sizes, and each queue is written once per segment of batches: with
-    batches no larger than a queue, every segment but the last holds two or more."""
+    tuple of window sizes, and each `insert_batches` call writes each non-empty queue
+    once: per column, one write covers the queue's new rows, each row once."""
     stream, bank = reference
     cfg = ablation_config(reference_adapter_config(0), variant)
-    draws, writes = [], []
-    real_draws, real_write = retta.memory._uniform_draws, retta.memory._Window.write
+    draws, calls, memories = [], [], []
+    real_draws = retta.memory._uniform_draws
+    real_layout, real_insert = ClassMemory._layout, ClassMemory.insert_batches
 
     def draw(rng, sizes, budget, n_queries, block=None):
         draws.append((tuple(sizes), n_queries))
         return real_draws(rng, sizes, budget, n_queries, block)
 
-    def write(self, cols, block, lo, counts):
-        writes.append(len(counts))
-        return real_write(self, cols, block, lo, counts)
+    def layout(self, d, need):
+        real_layout(self, d, need)
+        memories.append(self)
+        for key, col in self._cols.items():
+            self._cols[key] = col.view(WriteSpy)
+            self._cols[key].writes = []
+
+    def insert_batches(self, *args, **kwargs):
+        steps = real_insert(self, *args, **kwargs)
+        yield next(steps)
+        calls.append({key: col.writes[:] for key, col in self._cols.items()})
+        for col in self._cols.values():
+            col.writes.clear()
+        yield from steps
 
     monkeypatch.setattr(retta.memory, "_uniform_draws", draw)
-    monkeypatch.setattr(retta.memory._Window, "write", write)
+    monkeypatch.setattr(ClassMemory, "_layout", layout)
+    monkeypatch.setattr(ClassMemory, "insert_batches", insert_batches)
     run_stream(stream, cfg, bank)
-    assert cfg.batch_size <= cfg.capacity_per_class
     assert len(draws) == len({sizes for sizes, _ in draws}) < len(stream) // cfg.batch_size
     assert sum(n for _, n in draws) == len(stream)
-    assert sum(writes) >= len(stream) // cfg.batch_size
-    assert min(writes[: -bank.num_classes]) >= 2
+    (mem,), (writes,) = memories, calls
+    bases = [w.base for w in mem._windows]
+    filled = [i for i, w in enumerate(mem._windows) if w.size]
+    for key in ("z", "d_bias", "entropy", "domain"):
+        touched = [set((np.searchsorted(bases, row, side="right") - 1).tolist())
+                   for row in writes[key]]
+        assert sorted(q for queues in touched for q in queues) == filled
+        written = np.concatenate(writes[key])
+        assert len(np.unique(written)) == len(written) == len(stream)
 
 
 # tracemalloc peak bytes of `run_stream` on reference seed 0, each variant in a fresh
@@ -531,9 +560,11 @@ BATCH_BY_BATCH_PEAK = {"full": 3575170, "no-dc": 3566954, "no-entw": 3561441, "n
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_run_stream_peak_stays_within_the_batch_by_batch_peak_plus_the_stores(reference,
                                                                             variant):
-    """The engine keeps, beyond the batch-by-batch engine, the stream's dH/dz rows (made
-    before the first insert) and, for a uniform draw, a run's indices (at most C * k per
-    query); its traced peak stays within that engine's peak plus those bytes."""
+    """The engine keeps, beyond the batch-by-batch engine, the stream's dH/dz rows until
+    the memory's one write, then the whole stream's rows in the memory (n rows of 2 d + 2
+    floats, against 2 K per queue), and for a uniform draw a run's indices (at most C * k
+    per query).  With the dH/dz rows freed once written, its traced peak stays within
+    that engine's peak plus the dH/dz bytes and the indices."""
     stream, bank = reference
     cfg = ablation_config(reference_adapter_config(0), variant)
     n, d = stream.features.shape
@@ -545,6 +576,37 @@ def test_run_stream_peak_stays_within_the_batch_by_batch_peak_plus_the_stores(re
     finally:
         tracemalloc.stop()
     assert peak <= BATCH_BY_BATCH_PEAK[variant] + stores
+
+
+# Python- and C-level calls of one warm one-row `process_batch` on `online`'s config, counted
+# (numpy 2.4.6) on the engine whose insert still planned segments of batches
+ONE_ROW_CALLS = 196
+
+
+def test_one_row_call_makes_no_more_calls_than_counted(reference):
+    """A deterministic measure of the one-row path's fixed work, beside perfbench's
+    wall-clock bounds: the calls `sys.setprofile` sees in one warm one-row
+    `process_batch` on a 500-per-class memory that holds 1200 rows."""
+    stream, bank = reference
+    cfg = replace(reference_adapter_config(0), batch_size=1, capacity_per_class=500)
+    mem = ClassMemory(bank.num_classes, cfg.capacity_per_class)
+    post = batch_grads(stream.features[:1200], AffineParams.pretrained(bank.dim), bank)
+    mem.insert_block(stream.features[:1200], post.d_bias, post.entropy, post.labels,
+                     [None] * 1200)
+    rng = np.random.default_rng(cfg.seed)
+    process_batch(stream[1200:1201], mem, cfg, bank, rng=rng)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        process_batch(stream[1201:1202], mem, cfg, bank, rng=rng)
+    finally:
+        sys.setprofile(None)
+    assert calls <= ONE_ROW_CALLS
 
 
 def test_cached_engine_builds_no_per_sample_entries_or_grad_records(monkeypatch):

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import retta.memory
-from retta.adapter import aggregate, signsgd_step, weigh
+from retta.adapter import AdapterConfig, aggregate, process_batch, signsgd_step, weigh
 from retta.memory import ClassMemory, _uniform_draws
-from retta.model import AffineParams, TextBank, forward, predict
+from retta.model import AffineParams, Stream, TextBank, batch_grads, forward, predict
 
 COLUMNS = ("z", "d_bias", "entropy", "domain")
 
@@ -783,3 +785,135 @@ def test_rescaled_raw_weights_leave_weights_and_signsgd_logits_unchanged(data):
                       bank).logits for w in (base, exact)]
     np.testing.assert_array_equal(logits[1], logits[0])
     np.testing.assert_allclose(normalized(scale * raw), base, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------- caller-owned memory
+
+DOMAINS = ("a", "b", "c")
+
+
+class CallerMemory(RuleBasedStateMachine):
+    """A memory and generator that a caller keeps across cached and recomputing
+    `process_batch` calls, direct `insert_block` calls and `select` probes, against a
+    plain model: a deque(maxlen) per queue, a brute-force scan with ties to the newer
+    row, and the per-call `rng.choice` loop for uniform draws.
+
+    Batches run from 1 row to 2 * capacity + 3, so windows move to their first row
+    and the columns are laid out anew; embeddings come from a pool of 4, so exact
+    similarity ties occur.  A model row is (z bytes, d_bias bytes, entropy, domain).
+    """
+
+    @initialize(C=st.integers(2, 3), K=st.integers(1, 4), k=st.integers(1, 3),
+                split=st.booleans(), topk=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def start(self, C, K, k, split, topk, seed):
+        rng = np.random.default_rng(seed)
+        self.bank = TextBank(np.stack([unit(rng, 4) for _ in range(C)]), float(np.log(10.0)),
+                             [f"c{c}" for c in range(C)])
+        self.pool = np.stack([unit(rng, 4) for _ in range(4)])
+        cap = K if split else C * K
+        self.cfg = AdapterConfig(capacity_per_class=K, retrieve_k=k, beta=5.0 if topk else 0.0,
+                                 batch_size=2 * cap + 3, split_memory=split,
+                                 topk_selection=topk, seed=seed)
+        self.budget = k if split else C * k
+        self.mem = ClassMemory(C, K, split=split)
+        self.rng, self.model_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        self.model = [deque(maxlen=cap) for _ in range(C if split else 1)]
+
+    def rows(self, data):
+        """A block of pool embeddings with their gradient pass and domain names."""
+        r = data.draw(st.integers(1, self.cfg.batch_size), label="rows")
+        picks = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r), label="pool")
+        codes = data.draw(st.lists(st.integers(-1, 2), min_size=r, max_size=r), label="domains")
+        z = self.pool[picks]
+        return z, batch_grads(z, AffineParams.pretrained(4), self.bank), codes
+
+    def append(self, z, post, labels, codes):
+        names = DOMAINS + (None,)
+        for row, label in enumerate(labels):
+            self.model[label if self.cfg.split_memory else 0].append(
+                (z[row].tobytes(), post.d_bias[row].tobytes(), float(post.entropy[row]),
+                 names[codes[row]]))
+
+    def scan(self, queries, k, rng=None):
+        """The model's support rows per query: top-k by a scan, or with `rng` the
+        per-call uniform draw."""
+        budget = k if self.cfg.split_memory else len(self.bank.class_names) * k
+        supports = []
+        for query in queries:
+            support = []
+            for queue in self.model:
+                if not queue:
+                    continue
+                if rng is None:
+                    sims = np.stack([np.frombuffer(row[0]) for row in queue]) @ query
+                    ranked = sorted(range(len(queue)), key=lambda j: (-sims[j], -j))[:budget]
+                else:
+                    ranked = rng.choice(len(queue), size=min(budget, len(queue)),
+                                        replace=False).tolist()
+                support.extend(queue[j] for j in ranked)
+            supports.append(support)
+        return supports
+
+    def selected(self, queries, k, rng=None):
+        """The memory's `select` support rows per query, as model rows."""
+        block, names = self.mem.select(queries, k, rng), self.mem.domain_names + (None,)
+        if not block:
+            return [[] for _ in queries]
+        return [[(z.tobytes(), g.tobytes(), float(h), names[c])
+                 for z, g, h, c in zip(*(block[key][i] for key in COLUMNS))]
+                for i in range(len(queries))]
+
+    @rule(data=st.data(), cached=st.booleans())
+    def process(self, data, cached):
+        """One `process_batch` call, and the other mode on a clone of the memory and
+        generator: equal within 1e-12, and both memories and generators equal after."""
+        z, post, codes = self.rows(data)
+        batch = Stream(z, np.full(len(z), -1), np.array(codes, dtype=np.int64), DOMAINS)
+        mem, rng = copy.deepcopy(self.mem), copy.deepcopy(self.rng)
+        got = process_batch(batch, self.mem, self.cfg, self.bank, self.rng,
+                            recompute_grads=not cached)
+        other = process_batch(batch, mem, self.cfg, self.bank, rng, recompute_grads=cached)
+        np.testing.assert_array_equal(got.support_size, other.support_size)
+        assert ([o.support_domain_ids for o in got]
+                == [o.support_domain_ids for o in other])
+        np.testing.assert_array_equal(got.zero_shot.logits, other.zero_shot.logits)
+        gap = np.max(np.abs(got.adapted.logits - other.adapted.logits))
+        assert gap <= 1e-12 * np.max(np.abs(other.adapted.logits))
+        assert queues(mem) == queues(self.mem)
+        assert rng.bit_generator.state == self.rng.bit_generator.state
+        self.append(z, post, post.labels, codes)
+        if not self.cfg.topk_selection:
+            self.scan(z, self.cfg.retrieve_k, self.model_rng)
+
+    @rule(data=st.data())
+    def insert(self, data):
+        z, post, codes = self.rows(data)
+        labels = data.draw(st.lists(st.integers(0, len(self.model) - 1), min_size=len(z),
+                                    max_size=len(z)), label="labels")
+        names = DOMAINS + (None,)
+        self.mem.insert_block(z, post.d_bias, post.entropy, np.array(labels),
+                              [names[c] for c in codes])
+        self.append(z, post, labels if self.cfg.split_memory else [0] * len(z), codes)
+
+    @rule(data=st.data(), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def probe(self, data, k, seed):
+        """`select` of pool and random queries, top-k and uniform, against the model."""
+        queries = np.stack([self.pool[i] if i < 4 else unit(np.random.default_rng(seed), 4)
+                            for i in data.draw(st.lists(st.integers(0, 4), min_size=1,
+                                                        max_size=3), label="queries")])
+        assert self.selected(queries, k) == self.scan(queries, k)
+        assert (self.selected(queries, k, np.random.default_rng(seed))
+                == self.scan(queries, k, np.random.default_rng(seed)))
+
+    @invariant()
+    def agrees(self):
+        assert queues(self.mem) == [list(queue) for queue in self.model]
+        assert len(self.mem) == sum(map(len, self.model))
+        assert self.rng.bit_generator.state == self.model_rng.bit_generator.state
+        assert (self.selected(self.pool, self.cfg.retrieve_k)
+                == self.scan(self.pool, self.cfg.retrieve_k))
+
+
+TestCallerMemory = CallerMemory.TestCase
+TestCallerMemory.settings = settings(max_examples=25, stateful_step_count=12, derandomize=True,
+                                     deadline=None, database=None)
